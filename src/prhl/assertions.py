@@ -33,7 +33,6 @@ from .syntax import (
     Implies,
     Not,
     Or,
-    TRUE,
     free_vars,
     quantifier_count,
 )
@@ -96,11 +95,6 @@ def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool
     raise TypeError(f"not an assertion: {a!r}")
 
 
-def assert_holds(a: Assertion, s: State, quant_bound: int) -> bool:
-    """Bound-relative truth value, flags dropped."""
-    return eval_assertion(a, s, quant_bound)[0]
-
-
 def entails(
     hyp: Assertion, concl: Assertion, bounds: Bounds, extra_vars: Iterable[str] = ()
 ) -> Verdict:
@@ -124,11 +118,6 @@ def entails(
     if valid_flags:
         return Verdict("valid", flags=("quantifier-bounded",))
     return Verdict("valid")
-
-
-def models_tautology(a: Assertion, bounds: Bounds, extra_vars: Iterable[str] = ()) -> Verdict:
-    """Is the assertion true in every store (up to the bounds)?"""
-    return entails(TRUE, a, bounds, extra_vars)
 
 
 class EntailmentOracle:

@@ -35,7 +35,7 @@ recomputes the side conditions from the two triples.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     Assertion,
@@ -103,13 +103,11 @@ class CyclicPreProof:
 
 @dataclass(frozen=True)
 class PrhlNode:
-    """Recursive in-memory derivation tree; what the prover builds.
-    ``cons_hint`` is a human note on Cons steps, not serialized."""
+    """Recursive in-memory derivation tree; what the prover builds."""
 
     rule: str
     triple: Triple
     children: tuple["PrhlNode", ...] = ()
-    cons_hint: str | None = field(default=None, compare=False)
 
     def to_proof(self) -> PrhlProof:
         """Assign preorder ids n1, n2, ... and flatten."""

@@ -24,7 +24,7 @@ passes through a rule that consumes program progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .assertions import BoundedOracle, EntailmentOracle
 from .certificates import (
@@ -49,14 +49,12 @@ from .syntax import (
     Seq,
     Var,
     While,
-    assertion_vars,
     canon,
     decompose_head,
     expr_vars,
     free_vars,
     normalize_program,
     print_assertion,
-    print_program,
     prog_vars,
     seq_of,
     subst,

@@ -6,9 +6,9 @@ ordinary proof, rewrite it into a cyclic one, print a weakest
 pre-condition, and encode a number sequence for the beta predicate.
 
 Exit codes: 0 valid/accepted, 1 invalid/rejected (witness printed),
-2 undecided or bound-relative, 3 usage or parse errors.  Bounds come
-from flags, falling back to PRHL_DOMAIN_MAX / PRHL_STEP_BOUND /
-PRHL_QUANT_BOUND, then to the built-in defaults.
+2 undecided or bound-relative, 3 usage, parse or internal errors.
+Bounds come from flags, falling back to PRHL_DOMAIN_MAX /
+PRHL_STEP_BOUND / PRHL_QUANT_BOUND, then to the built-in defaults.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .assertions import BoundedOracle
 from .certificates import (
@@ -30,13 +29,14 @@ from .certificates import (
     to_tree,
 )
 from .checker import CheckReport, check_cprhl, check_prhl
-from .prover import ProveRequest, ProveResult, prove_prhl, transform_to_cyclic
+from .prover import ProveRequest, prove_prhl, transform_to_cyclic
 from .semantics import (
     LOGICS,
     Bounds,
     State,
     Verdict,
     check_triple,
+    compile_program,
     format_state,
     relevant_vars,
     run_all,
@@ -44,7 +44,6 @@ from .semantics import (
 from .syntax import (
     Empty,
     ParseError,
-    free_vars,
     parse_assertion,
     parse_program,
     print_assertion,
@@ -53,14 +52,6 @@ from .syntax import (
 from .wp import MissingInvariantError, SearchExhausted, WprRequest, encode_sequence, wpr_formula
 
 DEFAULTS = (("domain_max", "PRHL_DOMAIN_MAX", 8), ("step_bound", "PRHL_STEP_BOUND", 10000), ("quant_bound", "PRHL_QUANT_BOUND", 16))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    bounds: Bounds
-    inputs: tuple[str, ...] = ()
-    fmt: str = "text"  # text | machine
-    strict_fig4_assign: bool = False
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,16 +70,6 @@ def _bounds_of(args: argparse.Namespace) -> Bounds:
             raise ValueError(f"{name} must be non-negative")
         vals[name] = given
     return Bounds(**vals)
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    path = getattr(args, "file", None)
-    return RunConfig(
-        bounds=_bounds_of(args),
-        inputs=(path,) if path is not None else (),
-        fmt=getattr(args, "format", "text"),
-        strict_fig4_assign=getattr(args, "strict_fig4_assign", False),
-    )
 
 
 def read_triple_file(path: str) -> Triple:
@@ -204,7 +185,7 @@ def _report_exit(report: CheckReport) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _config(args)
+    bounds = _bounds_of(args)
     with open(args.file, encoding="utf-8") as fh:
         prog = parse_program(fh.read())
     store: dict[str, int] = {}
@@ -214,10 +195,10 @@ def _cmd_run(args) -> int:
             raise ValueError(f"bad --state binding {item!r}, expected name=value")
         store[name] = int(val)
     s0 = State(store)
-    res = run_all(prog, s0, cfg.bounds.step_bound)
     names = sorted(set(prog_vars(prog)) | set(store))
+    res = run_all(compile_program(prog, names), s0, bounds.step_bound)
     finals = sorted(res.finals, key=lambda s: s.sort_key())
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         sys.stdout.write(
             _json_out(
                 {
@@ -242,12 +223,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_triple(args) -> int:
-    cfg = _config(args)
+    bounds = _bounds_of(args)
     t = read_triple_file(args.file)
-    v = check_triple(args.logic, t.pre, t.prog, t.post, cfg.bounds)
+    v = check_triple(args.logic, t.pre, t.prog, t.post, bounds)
     names = relevant_vars(t.pre, t.prog, t.post)
-    if cfg.fmt == "machine":
-        sys.stdout.write(_json_out({"logic": args.logic, "bounds": _bounds_json(cfg.bounds), "verdict": _verdict_json(v, names)}))
+    if args.format == "machine":
+        sys.stdout.write(_json_out({"logic": args.logic, "bounds": _bounds_json(bounds), "verdict": _verdict_json(v, names)}))
     elif v.is_valid:
         suffix = f" (bounded: {', '.join(v.flags)})" if v.flags else ""
         print(f"VALID{suffix}")
@@ -263,29 +244,29 @@ def _cmd_check_triple(args) -> int:
 
 
 def _cmd_check_proof(args) -> int:
-    cfg = _config(args)
+    bounds = _bounds_of(args)
     with open(args.file, encoding="utf-8") as fh:
         proof = parse_proof(fh.read())
-    oracle = BoundedOracle(cfg.bounds)
+    oracle = BoundedOracle(bounds)
     if isinstance(proof, CyclicPreProof):
-        report = check_cprhl(proof, oracle, cfg.bounds, strict_fig4_assign=cfg.strict_fig4_assign)
+        report = check_cprhl(proof, oracle, bounds, strict_fig4_assign=args.strict_fig4_assign)
     else:
-        report = check_prhl(proof, oracle, cfg.bounds)
-    sys.stdout.write(emit_report(report, cfg.fmt))
+        report = check_prhl(proof, oracle, bounds)
+    sys.stdout.write(emit_report(report, args.format))
     return _report_exit(report)
 
 
 def _cmd_prove(args) -> int:
-    cfg = _config(args)
+    bounds = _bounds_of(args)
     t = read_triple_file(args.file)
-    res = prove_prhl(ProveRequest(t, args.loop_mode, cfg.bounds), BoundedOracle(cfg.bounds))
+    res = prove_prhl(ProveRequest(t, args.loop_mode, bounds), BoundedOracle(bounds))
     names = relevant_vars(t.pre, t.prog, t.post)
     cert_path = None
     if res.proof is not None and args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(serialize_proof(res.proof.to_proof()))
         cert_path = args.output
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         sys.stdout.write(
             _json_out(
                 {
@@ -319,7 +300,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    cfg = _config(args)
+    bounds = _bounds_of(args)
     with open(args.file, encoding="utf-8") as fh:
         proof = parse_proof(fh.read())
     if not isinstance(proof, PrhlProof):
@@ -329,16 +310,16 @@ def _cmd_transform(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(serialize_proof(cyc))
-    report = check_cprhl(cyc, BoundedOracle(cfg.bounds), cfg.bounds, strict_fig4_assign=cfg.strict_fig4_assign)
-    sys.stdout.write(emit_report(report, cfg.fmt))
+    report = check_cprhl(cyc, BoundedOracle(bounds), bounds, strict_fig4_assign=args.strict_fig4_assign)
+    sys.stdout.write(emit_report(report, args.format))
     return _report_exit(report)
 
 
 def _cmd_wp(args) -> int:
-    cfg = _config(args)
+    _bounds_of(args)  # bad bound flags are rejected here too
     t = read_triple_file(args.file)
     res = wpr_formula(WprRequest(t.prog, t.post, args.loop_mode, args.unroll_depth))
-    if cfg.fmt == "machine":
+    if args.format == "machine":
         sys.stdout.write(
             _json_out(
                 {
@@ -443,6 +424,9 @@ def main(argv=None) -> int:
         return 3
     except (CertificateError, MissingInvariantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a crash must never read as a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .assertions import BoundedOracle, EntailmentOracle
 from .certificates import CertificateError, CyclicPreProof, PrhlNode, ProofNode, Triple
-from .checker import guard_implies
+from .checker import _aeq, guard_implies
 from .semantics import Bounds, Verdict, check_triple
 from .syntax import (
     Assertion,
@@ -25,7 +25,6 @@ from .syntax import (
     Or,
     Prog,
     Seq,
-    Var,
     While,
     canon,
     normalize_program,
@@ -83,10 +82,6 @@ class ProveResult:
         return self.status in ("proved", "proved-bounded")
 
 
-def _aeq(a: Assertion, b: Assertion) -> bool:
-    return canon(a) == canon(b)
-
-
 class _Prover:
     def __init__(self, loop_mode: str, oracle: EntailmentOracle):
         self.wp_mode = "beta" if loop_mode == "beta" else "invariant"
@@ -105,7 +100,7 @@ class _Prover:
         if not _aeq(target.post, child.triple.post):
             v = self.oracle.entails(target.post, child.triple.post)
             self.sides.append(SideCondition(f"{where}: post side", target.post, child.triple.post, v))
-        return PrhlNode("Cons", target, (child,), cons_hint=where)
+        return PrhlNode("Cons", target, (child,))
 
     def prove(self, prog: Prog, post: Assertion) -> PrhlNode:
         """Derivation of [| W |] prog [| post |] where W is the computed

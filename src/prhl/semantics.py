@@ -7,10 +7,14 @@ that agree on all variables are equal objects.  Arithmetic is totalised:
 subtraction truncates at zero, division by zero yields zero, and modulo
 by zero returns the dividend.
 
-A configuration is a (program, store) pair; ``step`` lists its immediate
-successors in a fixed order (the left branch of a choice first).  All
-exploration is breadth-first over configurations with dedup, so the
-reported distance of a final store is the minimal run length reaching it.
+A run starts by compiling the program into a table of labelled
+transitions, one label per continuation reachable from it (label 0 is the
+terminated program), with expressions compiled into closures over store
+tuples.  A configuration is a (label, store tuple) pair; its successors
+come in a fixed order (the left branch of a choice first) and are those
+of the small-step relation.  All exploration is breadth-first over
+configurations with dedup, so the reported distance of a final store is
+the minimal run length reaching it.
 Validity questions are decided by enumerating initial stores over the
 variables that occur in the triple, each component in 0..domain_max;
 intermediate values may grow past domain_max.  Verdicts are therefore
@@ -21,9 +25,12 @@ counterexample.
 
 from __future__ import annotations
 
+import functools
+import graphlib
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping
+import operator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .syntax import (
     Assertion,
@@ -99,7 +106,15 @@ def format_state(s: State, names: Iterable[str]) -> str:
     return "{" + ", ".join(f"{k}: {s.get(k)}" for k in shown) + "}"
 
 
-# --- expression evaluation -------------------------------------------------
+# --- expressions ------------------------------------------------------------
+
+_OPS = {
+    "+": operator.add,
+    "-": lambda l, r: l - r if l >= r else 0,
+    "*": operator.mul,
+    "/": lambda l, r: l // r if r != 0 else 0,
+    "%": lambda l, r: l % r if r != 0 else l,
+}
 
 
 def eval_expr(e, s: State) -> int:
@@ -108,19 +123,7 @@ def eval_expr(e, s: State) -> int:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, BinOp):
-        l = eval_expr(e.left, s)
-        r = eval_expr(e.right, s)
-        if e.op == "+":
-            return l + r
-        if e.op == "-":
-            return l - r if l >= r else 0
-        if e.op == "*":
-            return l * r
-        if e.op == "/":
-            return l // r if r != 0 else 0
-        if e.op == "%":
-            return l % r if r != 0 else l
-        raise ValueError(f"unknown operator {e.op!r}")
+        return _OPS[e.op](eval_expr(e.left, s), eval_expr(e.right, s))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -138,49 +141,36 @@ def eval_bool(b: BoolExpr, s: State) -> bool:
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-# --- small-step relation ----------------------------------------------------
-
-Config = tuple[Prog, State]
-
-
-def step(config: Config) -> list[Config]:
-    """Immediate successors, in deterministic order.  The terminated
-    configuration (skip) has none; a choice has two."""
-    p, s = config
-    if isinstance(p, Empty):
-        return []
-    if isinstance(p, Assign):
-        return [(Empty(), s.set(p.name, eval_expr(p.expr, s)))]
-    if isinstance(p, While):
-        if eval_bool(p.guard, s):
-            return [(seq_of(p.body, p), s)]
-        return [(Empty(), s)]
-    if isinstance(p, Seq):
-        if isinstance(p.first, Empty):
-            # raw ε;C nodes (never produced by seq_of) unwrap in one step
-            return [(p.second, s)]
-        return [(seq_of(h, p.second), s2) for h, s2 in step((p.first, s))]
-    if isinstance(p, Choice):
-        return [(p.left, s), (p.right, s)]
-    raise TypeError(f"not a program: {p!r}")
+def _compile_expr(e, slot: Mapping[str, int]) -> Callable[[tuple], int]:
+    """``eval_expr`` as a closure over a store tuple indexed by ``slot``."""
+    if isinstance(e, Var):
+        i = slot[e.name]
+        return lambda st: st[i]
+    if isinstance(e, Const):
+        return lambda st, c=e.value: c
+    if isinstance(e, BinOp):
+        op, f, g = _OPS[e.op], _compile_expr(e.left, slot), _compile_expr(e.right, slot)
+        return lambda st: op(f(st), g(st))
+    raise TypeError(f"not an expression: {e!r}")
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Final stores with their minimal run lengths.
+def _compile_bool(b: BoolExpr, slot: Mapping[str, int]) -> Callable[[tuple], bool]:
+    if isinstance(b, (Eq, Le)):
+        cmp = operator.eq if isinstance(b, Eq) else operator.le
+        f, g = _compile_expr(b.left, slot), _compile_expr(b.right, slot)
+        return lambda st: cmp(f(st), g(st))
+    if isinstance(b, BNot):
+        f = _compile_bool(b.arg, slot)
+        return lambda st: not f(st)
+    if isinstance(b, (BAnd, BOr)):
+        f, g = _compile_bool(b.left, slot), _compile_bool(b.right, slot)
+        if isinstance(b, BAnd):
+            return lambda st: f(st) and g(st)
+        return lambda st: f(st) or g(st)
+    raise TypeError(f"not a boolean expression: {b!r}")
 
-    ``truncated`` is set when some run was not followed to termination:
-    either the step budget ran out with work remaining (``exhausted``) or
-    a configuration repeated, i.e. an infinite run exists.  ``finals`` is
-    exact unless ``exhausted`` is set.  Exploration that outgrows the
-    work cap or computes a store value wider than ``VALUE_BIT_CAP`` also
-    reports ``exhausted``.
-    """
 
-    finals: dict[State, int]
-    truncated: bool
-    exhausted: bool
-
+# --- programs as label tables -------------------------------------------------
 
 # a store value wider than this is cut off rather than carried further;
 # repeated multiplication otherwise grows values doubly exponentially and a
@@ -188,41 +178,165 @@ class RunResult:
 VALUE_BIT_CAP = 512
 
 
-def run_all(p: Prog, s: State, step_bound: int) -> RunResult:
+class Compiled(NamedTuple):
+    """A program as transitions over store tuples indexed like ``names``:
+    ``steps[label](store)`` lists the successor configurations of a
+    continuation in small-step order; label 0 is the terminated program."""
+
+    names: tuple[str, ...]
+    start: int
+    steps: list
+    cyclic: bool
+
+
+def _transition(redex: Prog, nexts: list[int], slot: Mapping[str, int]):
+    if isinstance(redex, Assign):
+        i, fn, (nxt,) = slot[redex.name], _compile_expr(redex.expr, slot), nexts
+
+        def assign(st):
+            v = fn(st)
+            if v.bit_length() > VALUE_BIT_CAP:
+                return ((None, st),)  # leads nowhere: run_all cuts it
+            return ((nxt, st[:i] + (v,) + st[i + 1 :]),)
+
+        return assign
+    if isinstance(redex, While):
+        guard, (then, orelse) = _compile_bool(redex.guard, slot), nexts
+        return lambda st: ((then, st),) if guard(st) else ((orelse, st),)
+    if isinstance(redex, Choice):
+        left, right = nexts
+        return lambda st: ((left, st), (right, st))
+    (nxt,) = nexts
+    return lambda st: ((nxt, st),)
+
+
+def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
+    """Label every continuation reachable from ``prog`` and give each the
+    transition of its symbolic small step.  The redex is found under the
+    left spine of sequencing (a raw ``ε;C`` is one), and each program it
+    steps to is sequenced in normal form onto the tails around it.
+    Labels are keyed on programs as given, so a non-normal input keeps
+    its run lengths."""
+    names = tuple(names)
+    slot = {n: i for i, n in enumerate(names)}
+    # a worklist in this one frame: hashing a program already recurses as
+    # deep as the program is long
+    labels: dict[Prog, int] = {Empty(): 0}
+    start = labels.setdefault(prog, 1)
+    progs = list(labels)  # the program of each label
+    steps: list = [None]
+    cyclic = False
+    while len(steps) < len(progs):
+        p, tails = progs[len(steps)], []
+        while isinstance(p, Seq) and not isinstance(p.first, Empty):
+            tails.append(p.second)
+            p = p.first
+        if isinstance(p, Assign):
+            nexts = [Empty()]
+        elif isinstance(p, While):
+            nexts = [seq_of(p.body, p), Empty()]
+            # the body can always run to its end in the label graph, and
+            # then the normalized loop comes round to itself
+            cyclic = True
+        elif isinstance(p, Choice):
+            nexts = [p.left, p.right]
+        elif isinstance(p, Seq):  # a raw ε;C
+            nexts = [p.second]
+        else:
+            raise TypeError(f"not a program: {p!r}")
+        for t in reversed(tails):
+            nexts = [seq_of(q, t) for q in nexts]
+        out = []
+        for q in nexts:
+            out.append(labels.setdefault(q, len(progs)))
+            if out[-1] == len(progs):
+                progs.append(q)
+        steps.append(_transition(p, out, slot))
+    return Compiled(names, start, steps, cyclic)
+
+
+# --- bounded run exploration ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Final stores with their minimal run lengths, in the order they
+    were reached.  ``exhausted``: the step budget, the work cap or
+    ``VALUE_BIT_CAP`` cut some run, and ``finals`` may be incomplete.
+    ``truncated``: exhausted, or some configuration reaches itself (an
+    infinite run exists; runs merging into one configuration are not).
+    """
+
+    finals: dict[State, int]
+    truncated: bool
+    exhausted: bool
+
+
+def run_all(p: Prog | Compiled, s: State, step_bound: int) -> RunResult:
+    """Breadth-first exploration of the runs of ``p`` from ``s``, at most
+    ``step_bound`` steps deep, with dedup on configurations.  A compiled
+    ``p`` must have a slot for every variable of ``s``."""
+    given = s.as_dict()
+    c = p if isinstance(p, Compiled) else compile_program(p, sorted(prog_vars(p) | given.keys()))
+    if not given.keys() <= set(c.names):
+        raise ValueError(f"run_all: store variables {sorted(given.keys() - set(c.names))} not compiled")
+    if c.start == 0:
+        return RunResult({s: 0}, False, False)
+    names, steps = c.names, c.steps
+    cfg0 = (c.start, tuple(given.get(n, 0) for n in names))
+    # assignments check the value they store; only the initial store can
+    # carry a value past the cap into another step
+    dirty = _over_cap(cfg0[1])
+    visited = {cfg0: 0}  # configuration -> depth
+    frontier = [cfg0]
     finals: dict[State, int] = {}
-    visited: set[Config] = {(p, s)}
-    frontier: list[Config] = [(p, s)]
-    cycle = False
+    back = False  # a repeat reached a configuration no deeper than its source
     overflow = False
     depth = 0
     # depth alone cannot bound work: a value-diverging choice under a live
     # guard doubles the frontier every level, so total visited configurations
     # are capped as well; tripping either cap reports exhausted, like depth
     work_cap = 8 * step_bound + 16384
-    if isinstance(p, Empty):
-        return RunResult({s: 0}, False, False)
+
     while frontier and depth < step_bound:
         depth += 1
-        nxt: list[Config] = []
-        for cfg in frontier:
-            for succ in step(cfg):
-                if succ in visited:
-                    cycle = True
+        nxt = []
+        for lab, st in frontier:
+            for succ in steps[lab](st):
+                seen = visited.get(succ)
+                if seen is not None:
+                    back = back or seen < depth
                     continue
-                q, s2 = succ
-                if any(v.bit_length() > VALUE_BIT_CAP for _, v in s2._items):
+                if succ[0] is None or dirty and _over_cap(succ[1]):
                     overflow = True
                     continue
                 if len(visited) >= work_cap:
                     return RunResult(finals, True, True)
-                visited.add(succ)
-                if isinstance(q, Empty):
-                    finals.setdefault(s2, depth)
-                else:
+                visited[succ] = depth
+                if succ[0]:
                     nxt.append(succ)
+                else:
+                    finals[State(dict(zip(names, succ[1])))] = depth
         frontier = nxt
+        dirty = False
     exhausted = bool(frontier) or overflow
+    # every cycle has an edge that does not lead one level deeper
+    cycle = not exhausted and back and c.cyclic and _reaches_itself(steps, visited)
     return RunResult(finals, exhausted or cycle, exhausted)
+
+
+def _over_cap(values: Iterable[int]) -> bool:
+    return any(v.bit_length() > VALUE_BIT_CAP for v in values)
+
+
+def _reaches_itself(steps: list, configs: Iterable[tuple]) -> bool:
+    """Whether the successor graph on these configurations has a cycle."""
+    graph = {cfg: steps[cfg[0]](cfg[1]) if cfg[0] else () for cfg in configs}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        return True
+    return False
 
 
 # --- bounds, verdicts, enumeration ------------------------------------------
@@ -276,93 +390,9 @@ def relevant_vars(pre: Assertion, prog: Prog, post: Assertion) -> list[str]:
     return sorted(free_vars(pre) | free_vars(post) | prog_vars(prog))
 
 
-# --- semantic transformers ---------------------------------------------------
-
-StatePred = Callable[[State], bool]
-
-
-@dataclass(frozen=True)
-class TransformerResult:
-    states: frozenset[State]
-    truncated: bool
-
-
-def transformer_set(
-    kind: str,
-    prog: Prog,
-    pred: StatePred,
-    bounds: Bounds,
-    extra_vars: Iterable[str] = (),
-) -> TransformerResult:
-    """Enumerate one of the four semantic transformers over the bounded
-    store space.
-
-    wp / wpr : stores with some terminating run into the predicate
-    wlp      : stores all of whose terminating runs land in the predicate
-    sp       : final stores of some run from a predicate store
-    slp      : final stores all of whose sources satisfy the predicate
-
-    The enumeration ranges over the program's variables plus extra_vars;
-    for sp/slp both sources and results are drawn from that space.
-    """
-    names = sorted(prog_vars(prog) | set(extra_vars))
-    box = list(enumerate_states(names, bounds.domain_max))
-    runs = {s: run_all(prog, s, bounds.step_bound) for s in box}
-    truncated = any(r.exhausted for r in runs.values())
-    out: set[State] = set()
-    if kind in ("wp", "wpr"):
-        out = {s for s, r in runs.items() if any(pred(f) for f in r.finals)}
-    elif kind == "wlp":
-        out = {s for s, r in runs.items() if all(pred(f) for f in r.finals)}
-    elif kind == "sp":
-        for s, r in runs.items():
-            if pred(s):
-                out.update(r.finals)
-    elif kind == "slp":
-        finals_all: set[State] = set()
-        sources: dict[State, list[State]] = {}
-        for s, r in runs.items():
-            for f in r.finals:
-                finals_all.add(f)
-                sources.setdefault(f, []).append(s)
-        out = {f for f in finals_all if all(pred(s) for s in sources[f])}
-    else:
-        raise ValueError(f"unknown transformer {kind!r}")
-    return TransformerResult(frozenset(out), truncated)
-
-
 # --- triple checking ----------------------------------------------------------
 
 LOGICS = ("partial-reverse", "total-hoare", "partial-hoare", "incorrectness")
-
-
-@dataclass
-class _Explored:
-    pre_true: bool
-    pre_flags: bool
-    finals: dict[State, int]
-    exhausted: bool
-
-
-def _explore(pre: Assertion, prog: Prog, post: Assertion, bounds: Bounds):
-    # imported here: assertions builds on this module
-    from .assertions import eval_assertion
-
-    names = relevant_vars(pre, prog, post)
-    post_cache: dict[State, tuple[bool, bool]] = {}
-
-    def eval_post(s: State) -> tuple[bool, bool]:
-        if s not in post_cache:
-            v, fl = eval_assertion(post, s, bounds.quant_bound)
-            post_cache[s] = (v, bool(fl))
-        return post_cache[s]
-
-    rows: list[tuple[State, _Explored]] = []
-    for s0 in enumerate_states(names, bounds.domain_max):
-        pv, pfl = eval_assertion(pre, s0, bounds.quant_bound)
-        r = run_all(prog, s0, bounds.step_bound)
-        rows.append((s0, _Explored(pv, bool(pfl), r.finals, r.exhausted)))
-    return rows, eval_post, names
 
 
 def check_triple(
@@ -381,55 +411,57 @@ def check_triple(
     hit a quantifier bound are never reported as Invalid; they degrade the
     verdict to Unknown instead.
     """
+    # imported here: assertions builds on this module
+    from .assertions import eval_assertion
+
     if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
-    rows, eval_post, names = _explore(pre, prog, post, bounds)
+    names = relevant_vars(pre, prog, post)
+
+    @functools.cache
+    def eval_post(s: State) -> tuple[bool, bool]:
+        v, fl = eval_assertion(post, s, bounds.quant_bound)
+        return v, bool(fl)
+
+    # rows: (s0, s0 in the pre, that bound-relative, the runs from s0)
+    compiled = compile_program(prog, names)
+    rows = []
+    for s0 in enumerate_states(names, bounds.domain_max):
+        pv, pfl = eval_assertion(pre, s0, bounds.quant_bound)
+        rows.append((s0, pv, bool(pfl), run_all(compiled, s0, bounds.step_bound)))
 
     clean: list[tuple] = []  # sortable (depth/ord, tiebreaks, witness)
     budget_risk = False  # exploration cut where a counterexample could hide
     quant_risk = False  # quantifier bound touched a potential counterexample
 
-    if logic == "partial-reverse":
-        # counterexample: run s0 ->* f with f in post and s0 not in pre
-        for idx, (s0, e) in enumerate(rows):
-            if e.pre_true and not e.pre_flags:
-                continue  # s0 certainly satisfies the pre; cannot witness
-            if e.exhausted:
+    if logic in ("partial-reverse", "partial-hoare"):
+        # counterexample: a run s0 ->* f with s0 outside the pre and f in
+        # the post (partial-reverse), or the other way round (partial-hoare)
+        hoare = logic == "partial-hoare"
+        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
+            if pre_true != hoare and not pre_flags:
+                continue  # s0 certainly cannot witness
+            if r.exhausted:
                 budget_risk = True
-            for f, depth in e.finals.items():
+            for f, depth in r.finals.items():
                 fv, ffl = eval_post(f)
-                if not fv and not ffl:
+                if fv == hoare and not ffl:
                     continue
-                if not e.pre_true and not e.pre_flags and fv and not ffl:
-                    clean.append((depth, idx, f.sort_key(), (s0, f)))
-                else:
-                    quant_risk = True
-    elif logic == "partial-hoare":
-        # counterexample: run s0 ->* f with s0 in pre and f not in post
-        for idx, (s0, e) in enumerate(rows):
-            if not e.pre_true and not e.pre_flags:
-                continue  # s0 certainly outside the pre
-            if e.exhausted:
-                budget_risk = True
-            for f, depth in e.finals.items():
-                fv, ffl = eval_post(f)
-                if fv and not ffl:
-                    continue
-                if e.pre_true and not e.pre_flags and not fv and not ffl:
+                if pre_true == hoare and not pre_flags and not ffl:
                     clean.append((depth, idx, f.sort_key(), (s0, f)))
                 else:
                     quant_risk = True
     elif logic == "total-hoare":
         # counterexample: s0 in pre with no terminating run into post
-        for idx, (s0, e) in enumerate(rows):
-            if not e.pre_true and not e.pre_flags:
+        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
+            if not pre_true and not pre_flags:
                 continue
-            finals = [eval_post(f) for f in e.finals]
+            finals = [eval_post(f) for f in r.finals]
             if any(v and not fl for v, fl in finals):
                 continue  # certainly has a run into the post
-            if e.exhausted:
+            if r.exhausted:
                 budget_risk = True
-            elif e.pre_true and not e.pre_flags and not any(v or fl for v, fl in finals):
+            elif pre_true and not pre_flags and not any(v or fl for v, fl in finals):
                 clean.append((idx, (), (), s0))
             else:
                 quant_risk = True
@@ -438,12 +470,12 @@ def check_triple(
         reach_cert: set[State] = set()
         reach_poss: set[State] = set()
         poss_exhausted = False
-        for s0, e in rows:
-            if e.pre_true and not e.pre_flags:
-                reach_cert.update(e.finals)
-            if e.pre_true or e.pre_flags:
-                reach_poss.update(e.finals)
-                if e.exhausted:
+        for s0, pre_true, pre_flags, r in rows:
+            if pre_true and not pre_flags:
+                reach_cert.update(r.finals)
+            if pre_true or pre_flags:
+                reach_poss.update(r.finals)
+                if r.exhausted:
                     poss_exhausted = True
         for idx, f in enumerate(enumerate_states(names, bounds.domain_max)):
             fv, ffl = eval_post(f)

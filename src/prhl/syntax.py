@@ -21,8 +21,7 @@ flag variable::
     while B && t = 0 do { C1; t := 1 };
     while !B && t = 0 do { C2; t := 1 }
 
-Fresh variables are spelled ``x_p1``, ``x_p2``, ... in ASCII; reports may
-render the suffix as prime marks (see ``prettify``).
+Fresh variables are spelled ``x_p1``, ``x_p2``, ... in ASCII.
 """
 
 from __future__ import annotations
@@ -280,11 +279,6 @@ def fresh_var(avoid: Iterable[str], hint: str) -> str:
     while f"{base}_p{k}" in taken:
         k += 1
     return f"{base}_p{k}"
-
-
-def prettify(text: str) -> str:
-    """Render ``_p<k>`` fresh-name suffixes as prime marks for reports."""
-    return re.sub(r"_p(\d+)", lambda m: "′" * int(m.group(1)), text)
 
 
 def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -106,11 +106,6 @@ def encode_sequence(values: list[int], n_max: int = 100_000, m_max: int = 64) ->
     raise SearchExhausted(f"no (n, m) with n <= {n_max}, m <= {m_max} codes {values}")
 
 
-def decode_sequence(n: int, m: int, length: int) -> list[int]:
-    """Read back a coded sequence; inverse of ``encode_sequence``."""
-    return [n % (1 + (i + 1) * m) for i in range(length)]
-
-
 # --- wpr computation --------------------------------------------------------
 
 

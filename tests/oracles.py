@@ -1,18 +1,29 @@
 """Reference implementations and generators shared by the test suite.
 
-Computations the library performs by small-step BFS, formula
+Computations the library performs by compiled small-step BFS, formula
 construction, or induced-subgraph analysis are reproduced here by
-structurally different means (denotational recursion, streak-tracking
-path unrolling) so the two sides can be compared on random inputs.
+structurally different means (tree-rewriting small steps, denotational
+recursion, streak-tracking path unrolling) so the two sides can be
+compared on random inputs.
 """
 
 from __future__ import annotations
 
 import random
+from typing import Callable, Iterable, NamedTuple
 
-from prhl.assertions import assert_holds
+from prhl.assertions import entails, eval_assertion
 from prhl.certificates import CyclicPreProof, ProofNode, Triple
-from prhl.semantics import VALUE_BIT_CAP, State, eval_bool, eval_expr, run_all
+from prhl.semantics import (
+    VALUE_BIT_CAP,
+    Bounds,
+    RunResult,
+    State,
+    enumerate_states,
+    eval_bool,
+    eval_expr,
+    run_all,
+)
 from prhl.syntax import (
     And,
     Assign,
@@ -35,7 +46,151 @@ from prhl.syntax import (
     Seq,
     Var,
     While,
+    prog_vars,
+    seq_of,
 )
+
+# --- small steps by tree rewriting -------------------------------------------
+
+Config = tuple[Prog, State]
+
+
+def step_ref(config: Config) -> list[Config]:
+    """Immediate successors, in deterministic order.  The terminated
+    configuration (skip) has none; a choice has two."""
+    p, s = config
+    if isinstance(p, Empty):
+        return []
+    if isinstance(p, Assign):
+        return [(Empty(), s.set(p.name, eval_expr(p.expr, s)))]
+    if isinstance(p, While):
+        if eval_bool(p.guard, s):
+            return [(seq_of(p.body, p), s)]
+        return [(Empty(), s)]
+    if isinstance(p, Seq):
+        if isinstance(p.first, Empty):
+            # raw ε;C nodes (never produced by seq_of) unwrap in one step
+            return [(p.second, s)]
+        return [(seq_of(h, p.second), s2) for h, s2 in step_ref((p.first, s))]
+    if isinstance(p, Choice):
+        return [(p.left, s), (p.right, s)]
+    raise TypeError(f"not a program: {p!r}")
+
+
+def run_all_ref(p: Prog, s: State, step_bound: int) -> RunResult:
+    """Breadth-first search over (program, store) configurations with
+    dedup, the same caps as ``run_all`` and its finals order.  Its
+    ``truncated`` also counts two runs merging into one configuration."""
+    finals: dict[State, int] = {}
+    visited: set[Config] = {(p, s)}
+    frontier: list[Config] = [(p, s)]
+    cycle = False
+    overflow = False
+    depth = 0
+    work_cap = 8 * step_bound + 16384
+    if isinstance(p, Empty):
+        return RunResult({s: 0}, False, False)
+    while frontier and depth < step_bound:
+        depth += 1
+        nxt: list[Config] = []
+        for cfg in frontier:
+            for succ in step_ref(cfg):
+                if succ in visited:
+                    cycle = True
+                    continue
+                q, s2 = succ
+                if any(v.bit_length() > VALUE_BIT_CAP for _, v in s2._items):
+                    overflow = True
+                    continue
+                if len(visited) >= work_cap:
+                    return RunResult(finals, True, True)
+                visited.add(succ)
+                if isinstance(q, Empty):
+                    finals.setdefault(s2, depth)
+                else:
+                    nxt.append(succ)
+        frontier = nxt
+    exhausted = bool(frontier) or overflow
+    return RunResult(finals, exhausted or cycle, exhausted)
+
+
+def has_cycle_ref(p: Prog, s: State) -> bool:
+    """Whether some configuration reachable from (p, s) reaches itself:
+    iterative depth-first search by ``step_ref``, a repeat on the current
+    path being a cycle.  Only for runs that end within the caps."""
+    on_path, done = {(p, s)}, set()
+    stack = [((p, s), iter(step_ref((p, s))))]
+    while stack:
+        cfg, succs = stack[-1]
+        for nxt in succs:
+            if nxt in on_path:
+                return True
+            if nxt not in done:
+                on_path.add(nxt)
+                stack.append((nxt, iter(step_ref(nxt))))
+                break
+        else:
+            stack.pop()
+            on_path.discard(cfg)
+            done.add(cfg)
+    return False
+
+
+# --- semantic transformers ---------------------------------------------------
+
+StatePred = Callable[[State], bool]
+
+
+# not a dataclass: perfbench/workloads.py loads this file by path, with no
+# sys.modules entry, and @dataclass cannot resolve annotations there
+class TransformerResult(NamedTuple):
+    states: frozenset[State]
+    truncated: bool
+
+
+def transformer_set(
+    kind: str,
+    prog: Prog,
+    pred: StatePred,
+    bounds: Bounds,
+    extra_vars: Iterable[str] = (),
+) -> TransformerResult:
+    """Enumerate one of the four semantic transformers over the bounded
+    store space.
+
+    wp / wpr : stores with some terminating run into the predicate
+    wlp      : stores all of whose terminating runs land in the predicate
+    sp       : final stores of some run from a predicate store
+    slp      : final stores all of whose sources satisfy the predicate
+
+    The enumeration ranges over the program's variables plus extra_vars;
+    for sp/slp both sources and results are drawn from that space.
+    """
+    names = sorted(prog_vars(prog) | set(extra_vars))
+    box = list(enumerate_states(names, bounds.domain_max))
+    runs = {s: run_all(prog, s, bounds.step_bound) for s in box}
+    truncated = any(r.exhausted for r in runs.values())
+    out: set[State] = set()
+    if kind in ("wp", "wpr"):
+        out = {s for s, r in runs.items() if any(pred(f) for f in r.finals)}
+    elif kind == "wlp":
+        out = {s for s, r in runs.items() if all(pred(f) for f in r.finals)}
+    elif kind == "sp":
+        for s, r in runs.items():
+            if pred(s):
+                out.update(r.finals)
+    elif kind == "slp":
+        finals_all: set[State] = set()
+        sources: dict[State, list[State]] = {}
+        for s, r in runs.items():
+            for f in r.finals:
+                finals_all.add(f)
+                sources.setdefault(f, []).append(s)
+        out = {f for f in finals_all if all(pred(s) for s in sources[f])}
+    else:
+        raise ValueError(f"unknown transformer {kind!r}")
+    return TransformerResult(frozenset(out), truncated)
+
 
 # --- denotational final-store semantics --------------------------------------
 
@@ -109,16 +264,18 @@ def wpr_states_ref(
 # --- minimal triple counterexamples ------------------------------------------
 
 
-def min_triple_witness(pre, prog, post, states, step_bound: int, quant_bound: int):
-    """Minimal-length reverse-triple counterexample over the given initial
-    states: (n, s0, f) with ⟨prog,s0⟩ →ⁿ ⟨ε,f⟩, f ⊨ post, s0 ⊭ pre."""
+def min_triple_witness(pre, prog, post, states, step_bound: int, quant_bound: int, hoare: bool = False):
+    """Minimal-length triple counterexample over the given initial states:
+    (n, s0, f) with ⟨prog,s0⟩ →ⁿ ⟨ε,f⟩ and, for the reverse reading,
+    f ⊨ post, s0 ⊭ pre, or for the Hoare reading (``hoare``) s0 ⊨ pre,
+    f ⊭ post.  Runs are enumerated by tree rewriting."""
     best = None
     for s0 in states:
-        if assert_holds(pre, s0, quant_bound):
+        if assert_holds(pre, s0, quant_bound) != hoare:
             continue
-        rr = run_all(prog, s0, step_bound)
+        rr = run_all_ref(prog, s0, step_bound)
         for f, n in rr.finals.items():
-            if assert_holds(post, f, quant_bound):
+            if assert_holds(post, f, quant_bound) != hoare:
                 cand = (n, s0.sort_key(), f.sort_key(), s0, f)
                 if best is None or cand < best:
                     best = cand
@@ -166,8 +323,22 @@ def unroll_global_ok(proof: CyclicPreProof, depth: int | None = None) -> bool:
 # --- beta predicate replay ----------------------------------------------------
 
 
-def beta_replays(n: int, m: int, values) -> bool:
-    return all(n % (1 + (1 + i) * m) == v for i, v in enumerate(values))
+def decode_sequence(n: int, m: int, length: int) -> list[int]:
+    """Read back a sequence coded by ``wp.encode_sequence``."""
+    return [n % (1 + (i + 1) * m) for i in range(length)]
+
+
+# --- assertions at face value --------------------------------------------------
+
+
+def assert_holds(a, s: State, quant_bound: int) -> bool:
+    """Bound-relative truth value, flags dropped."""
+    return eval_assertion(a, s, quant_bound)[0]
+
+
+def models_tautology(a, bounds: Bounds, extra_vars: Iterable[str] = ()):
+    """Is the assertion true in every store (up to the bounds)?"""
+    return entails(Bool(Eq(Const(0), Const(0))), a, bounds, extra_vars)
 
 
 # --- random term generators -----------------------------------------------
@@ -210,6 +381,27 @@ def gen_prog(rng: random.Random, names, depth: int, const_max: int = 3, loops: b
         body = Seq(gen_prog(rng, names, depth - 1, const_max, loops), Assign(v, BinOp("+", Var(v), Const(1))))
         return While(guard, body)
     return Assign(rng.choice(names), gen_expr(rng, names, 2, const_max))
+
+
+def denormalize(rng: random.Random, p: Prog) -> Prog:
+    """The same program with sequencing out of normal form: ``skip``
+    units added and sequences left-nested, recursively."""
+    if isinstance(p, Seq):
+        first, second = denormalize(rng, p.first), denormalize(rng, p.second)
+        if isinstance(second, Seq) and rng.random() < 0.5:
+            p = Seq(Seq(first, second.first), second.second)
+        else:
+            p = Seq(first, second)
+    elif isinstance(p, Choice):
+        p = Choice(denormalize(rng, p.left), denormalize(rng, p.right))
+    elif isinstance(p, While):
+        p = While(p.guard, denormalize(rng, p.body))
+    pick = rng.random()
+    if pick < 0.2:
+        return Seq(Empty(), p)
+    if pick < 0.3:
+        return Seq(p, Empty())
+    return p
 
 
 def gen_assertion(rng: random.Random, names, depth: int, const_max: int = 3, quant: bool = False):

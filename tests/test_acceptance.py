@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from prhl.assertions import BoundedOracle, assert_holds, eval_assertion
+from oracles import assert_holds, decode_sequence
+from prhl.assertions import BoundedOracle, eval_assertion
 from prhl.certificates import CyclicPreProof, ProofNode, Triple, parse_proof, to_tree
 from prhl.checker import check_cprhl, check_prhl, global_soundness, guard_implies
 from prhl.prover import ProveRequest, prove_prhl, transform_to_cyclic
@@ -22,7 +23,6 @@ from prhl.semantics import (
     eval_bool,
     eval_expr,
     run_all,
-    transformer_set,
 )
 from prhl.syntax import (
     And,
@@ -46,7 +46,7 @@ from prhl.syntax import (
     subst,
     subst_expr,
 )
-from prhl.wp import WprRequest, decode_sequence, encode_sequence, wpr_formula
+from prhl.wp import WprRequest, encode_sequence, wpr_formula
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 NAMES = ["x", "y"]
@@ -392,7 +392,7 @@ def test_criterion_7():
     failures = []
     for i, (prog, post) in enumerate(loopfree_corpus()):
         r = wpr_formula(WprRequest(prog, post))
-        want = transformer_set(
+        want = oracles.transformer_set(
             "wpr", prog, lambda s: assert_holds(post, s, 16), B4, extra_vars=NAMES
         )
         if want.truncated:
@@ -423,7 +423,7 @@ def test_criterion_7_beta_loop():
     prog = parse_program("while x = 0 do { x := x + 1 }")
     post = parse_assertion("x = 1")
     b = Bounds(domain_max=4, step_bound=200, quant_bound=16)
-    want = transformer_set(
+    want = oracles.transformer_set(
         "wpr", prog, lambda s: assert_holds(post, s, 16), b, extra_vars=["x"]
     )
     qb = 2

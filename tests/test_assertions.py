@@ -6,15 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gen_assertion, gen_state
-from prhl.assertions import (
-    BoundedOracle,
-    EntailmentOracle,
-    assert_holds,
-    entails,
-    eval_assertion,
-    models_tautology,
-)
+from oracles import assert_holds, gen_assertion, gen_state, models_tautology
+from prhl.assertions import BoundedOracle, EntailmentOracle, entails, eval_assertion
 from prhl.semantics import Bounds, State
 from prhl.syntax import parse_assertion as pa
 

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, bounds plumbing."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,12 +53,38 @@ def test_run_notes_and_exit_codes(tmp_path, capsys):
     assert "step budget exhausted" in capsys.readouterr().out
 
 
+def test_run_join_is_not_a_cycle(tmp_path, capsys):
+    join = write(tmp_path, "join.while", "x := 1 + x := 2; x := 0")
+    assert main(["run", join]) == 0
+    assert capsys.readouterr().out == "{x: 0}\n"
+
+
+def test_run_crash_exits_3_without_traceback(tmp_path, capsys):
+    # deep enough to overflow the interpreter stack
+    long = write(tmp_path, "long.while", ";\n".join(f"x := x + {k % 4}" for k in range(650)))
+    assert main(["run", long]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RecursionError")
+    assert "Traceback" not in err
+
+
 def test_run_rejects_bad_state_binding(prog_file, capsys):
     assert main(["run", prog_file, "--state", "x3"]) == 3
     assert "bad --state binding" in capsys.readouterr().err
 
 
 # --- check-triple -----------------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "check_triple_machine.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_check_triple_machine_golden(case, capsys, monkeypatch):
+    for env in ("PRHL_DOMAIN_MAX", "PRHL_STEP_BOUND", "PRHL_QUANT_BOUND"):
+        monkeypatch.delenv(env, raising=False)
+    name, logic = case.split()
+    code = main(["check-triple", f"corpus/{name}", "--logic", logic, "--format", "machine"])
+    assert (code, capsys.readouterr().out) == (GOLDEN[case]["exit"], GOLDEN[case]["stdout"])
 
 
 def test_check_triple_corpus_valid(capsys):

@@ -7,19 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import denot_finals, gen_prog, gen_state, min_triple_witness
+from oracles import (
+    denormalize,
+    denot_finals,
+    gen_prog,
+    gen_state,
+    has_cycle_ref,
+    min_triple_witness,
+    run_all_ref,
+    step_ref,
+    transformer_set,
+)
 from prhl.semantics import (
     Bounds,
     State,
     check_triple,
+    compile_program,
     enumerate_states,
     eval_bool,
     eval_expr,
     format_state,
     relevant_vars,
     run_all,
-    step,
-    transformer_set,
 )
 from prhl.syntax import (
     Assign,
@@ -95,18 +104,18 @@ def test_eval_bool():
 
 def test_step_shapes():
     s = State()
-    assert step((Empty(), s)) == []
-    assert step((parse_program("x := 1"), s)) == [(Empty(), State(x=1))]
-    succ = step((parse_program("(x := 1 + x := 2)"), s))
+    assert step_ref((Empty(), s)) == []
+    assert step_ref((parse_program("x := 1"), s)) == [(Empty(), State(x=1))]
+    succ = step_ref((parse_program("(x := 1 + x := 2)"), s))
     assert len(succ) == 2
     w = parse_program("while x = 0 do { x := 1 }")
-    assert step((w, s)) == [(Seq(Assign("x", parse_program("x := 1").expr), w), s)]
-    assert step((w, State(x=3))) == [(Empty(), State(x=3))]
+    assert step_ref((w, s)) == [(Seq(Assign("x", parse_program("x := 1").expr), w), s)]
+    assert step_ref((w, State(x=3))) == [(Empty(), State(x=3))]
 
 
 def test_step_unwraps_raw_empty_head():
     q = Assign("x", expr("1"))
-    assert step((Seq(Empty(), q), State()))== [(q, State())]
+    assert step_ref((Seq(Empty(), q), State()))== [(q, State())]
 
 
 @given(SEEDS)
@@ -119,7 +128,7 @@ def test_step_deterministic_outside_choice(seed):
         if not cfgs:
             break
         q, t = cfgs.pop()
-        succ = step((q, t))
+        succ = step_ref((q, t))
         head = q
         while isinstance(head, Seq):
             head = head.first
@@ -151,6 +160,20 @@ def test_run_all_detects_config_cycle():
     r = run_all(parse_program("while 0 = 0 do { skip }"), State(), 10000)
     assert r.finals == {}
     assert r.truncated and not r.exhausted
+
+
+@pytest.mark.parametrize(
+    "text, truncated",
+    [
+        # two choice branches merging into one configuration always end
+        ("x := 1 + x := 2; x := 0", False),
+        ("while 0 = 0 do { skip }", True),
+        ("while i < 3 do { (i := i + 1 + skip) }", True),
+    ],
+)
+def test_run_all_truncated_means_a_cycle(text, truncated):
+    r = run_all(parse_program(text), State(), 10000)
+    assert r.truncated is truncated and not r.exhausted
 
 
 def test_run_all_exhausts_on_unbounded_growth():
@@ -198,6 +221,80 @@ def test_run_all_matches_denotational_reference(seed):
         assert frozenset(r.finals) == fr
     elif not r.exhausted:
         assert fr <= frozenset(r.finals)
+
+
+def _agrees_with_reference(p, s0, step_bound, compiled=None):
+    got = run_all(p if compiled is None else compiled, s0, step_bound)
+    want = run_all_ref(p, s0, step_bound)
+    assert list(got.finals.items()) == list(want.finals.items())
+    assert got.exhausted == want.exhausted
+    if got.exhausted:
+        assert got.truncated
+    else:
+        assert got.truncated == has_cycle_ref(p, s0)
+
+
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_run_all_matches_tree_rewriting_reference(seed):
+    rng = random.Random(seed)
+    p = gen_prog(rng, NAMES, 3)
+    if rng.random() < 0.5:
+        p = denormalize(rng, p)
+    s0 = gen_state(rng, NAMES, 3)
+    compiled = None
+    if rng.random() < 0.5:  # as check_triple does: more names than the program's
+        compiled = compile_program(p, sorted(prog_vars(p) | {"x", "i", "z"}))
+    _agrees_with_reference(p, s0, rng.choice((0, 1, 2, 3, 5, 8, 13, 400)), compiled)
+
+
+@pytest.mark.parametrize(
+    "text, s0, step_bound",
+    [
+        # work cap: the frontier doubles every iteration
+        ("while i < 2 do { (i := 0 + x := x + 1) }", State(), 500),
+        # value cap, reached by repeated squaring
+        ("while i < 2 do { x := x * (2 * x) }", State(x=2), 500),
+        ("x := x * x; x := x * x", State(x=3), 100),
+        # an initial value past the cap cuts every step that keeps it
+        ("(x := 0 + y := 1); y := x", State(x=2**600), 100),
+        ("x := 0; y := 1", State(x=2**600), 100),
+        ("y := 1", State(z=2**600), 100),
+        # step bound at the edges
+        ("while i < 5 do { x := x + i; i := i + 1 }", State(), 16),
+        ("while i < 5 do { x := x + i; i := i + 1 }", State(), 15),
+    ],
+)
+def test_run_all_matches_reference_at_the_caps(text, s0, step_bound):
+    _agrees_with_reference(parse_program(text), s0, step_bound)
+
+
+def test_run_all_unwraps_each_raw_skip_in_one_step():
+    x1, y2 = Assign("x", expr("1")), Assign("y", expr("2"))
+    p = Seq(Empty(), Seq(Seq(Empty(), x1), y2))
+    assert run_all(p, State(), 100).finals == {State(x=1, y=2): 4}
+    _agrees_with_reference(p, State(), 100)
+
+
+def test_compile_program_labels():
+    assert compile_program(Empty(), ()).start == 0
+    # one label per continuation: the loop, its two body positions, halt
+    c = compile_program(parse_program("while i < 5 do { x := x + i; i := i + 1 }"), ["i", "x"])
+    assert len(c.steps) == 4 and c.cyclic
+    assert not compile_program(parse_program("x := 1 + x := 2; x := 0"), ["x"]).cyclic
+    with pytest.raises(KeyError):
+        compile_program(parse_program("x := y"), ["x"])
+    with pytest.raises(ValueError):
+        run_all(c, State(z=1), 10)
+
+
+def test_run_all_answers_a_long_left_nested_program():
+    # a table built by recursion over continuations would outgrow the
+    # stack here; the raw skip at the bottom costs one step
+    p = Empty()
+    for _ in range(400):
+        p = Seq(p, Assign("x", expr("x + 1")))
+    assert run_all(p, State(), 10000).finals == {State(x=400): 401}
 
 
 @given(SEEDS)
@@ -437,6 +534,23 @@ def test_partial_reverse_verdict_matches_reference_search(seed):
     v = check_triple("partial-reverse", pre, p, post, b)
     names = sorted(prog_vars(p) | {"x", "i"})
     ref = min_triple_witness(pre, p, post, enumerate_states(names, 3), 500, 16)
+    if v.is_invalid:
+        assert ref is not None and ref[0] == run_all(p, v.witness[0], 500).finals[v.witness[1]]
+    elif v.is_valid:
+        assert ref is None
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_partial_hoare_verdict_matches_reference_search(seed):
+    rng = random.Random(seed)
+    p = gen_prog(rng, NAMES, 2)
+    pre = parse_assertion(rng.choice(["x = 0", "x <= 1", "i = 0", "true", "x = i"]))
+    post = parse_assertion(rng.choice(["x = 1", "i <= 1", "x = i", "false", "i = 2"]))
+    b = Bounds(domain_max=3, step_bound=500, quant_bound=16)
+    v = check_triple("partial-hoare", pre, p, post, b)
+    names = sorted(prog_vars(p) | {"x", "i"})
+    ref = min_triple_witness(pre, p, post, enumerate_states(names, 3), 500, 16, hoare=True)
     if v.is_invalid:
         assert ref is not None and ref[0] == run_all(p, v.witness[0], 500).finals[v.witness[1]]
     elif v.is_valid:

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gen_assertion, gen_expr, gen_prog, gen_state
+from oracles import assert_holds, gen_assertion, gen_expr, gen_prog, gen_state
 from prhl.semantics import State
-from prhl.assertions import assert_holds
 from prhl.syntax import (
     And,
     Assign,
@@ -35,7 +34,6 @@ from prhl.syntax import (
     normalize_program,
     parse_assertion,
     parse_program,
-    prettify,
     print_assertion,
     print_program,
     prog_vars,
@@ -171,10 +169,6 @@ def test_fresh_var_numbering():
     assert fresh_var(set(), "i") == "i"
     assert fresh_var({"x"}, "x") == "x_p1"
     assert fresh_var({"x", "x_p1"}, "x") == "x_p2"
-
-
-def test_prettify_primes():
-    assert prettify("x_p1 + y_p2") == "x′ + y′′"
 
 
 def test_quantifier_count():

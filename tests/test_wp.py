@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gen_assertion, gen_prog
-from prhl.assertions import assert_holds
-from prhl.semantics import Bounds, State, enumerate_states, transformer_set
+from oracles import assert_holds, decode_sequence, gen_assertion, gen_prog, transformer_set
+from prhl.semantics import Bounds, State, enumerate_states
 from prhl.syntax import (
     Exists,
     Var,
@@ -24,7 +23,6 @@ from prhl.wp import (
     WprRequest,
     WprResult,
     beta,
-    decode_sequence,
     encode_sequence,
     wpr_formula,
 )

@@ -4,8 +4,11 @@ Quantifiers range over all naturals in the logic but are evaluated here
 over 0..quant_bound.  Evaluation therefore returns a pair (value, bounded):
 ``bounded`` is set when the value is bound-relative, i.e. a universal ran
 out of candidates while still true, or an existential ran out while still
-false, anywhere in the deciding part of the formula.  Entailment checks
-enumerate stores over the free variables and report:
+false, anywhere in the deciding part of the formula.  Both sides are
+compiled once per question by ``semantics.compile_assertions`` and run on
+value tuples; ``eval_assertion`` is the one-store entry taking a
+``State``.  Entailment checks enumerate stores over the free variables
+and report:
 
 * Invalid with the first (store-order) counterexample whose evaluation is
   bound-independent;
@@ -23,19 +26,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .semantics import Bounds, State, Verdict, enumerate_states, eval_bool
-from .syntax import (
-    And,
-    Assertion,
-    Bool,
-    Exists,
-    Forall,
-    Implies,
-    Not,
-    Or,
-    free_vars,
-    quantifier_count,
-)
+from .semantics import Bounds, State, Verdict, compile_assertions, store_tuples
+from .syntax import Assertion, free_vars, quantifier_count
 
 
 def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool]:
@@ -45,54 +37,10 @@ def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool
     soon as one side decides it with certainty, so e.g. ``false && P`` is
     never bounded whatever P does.
     """
-    if isinstance(a, Bool):
-        return eval_bool(a.expr, s), False
-    if isinstance(a, Not):
-        v, fl = eval_assertion(a.arg, s, quant_bound)
-        return (not v), fl
-    if isinstance(a, (And, Or, Implies)):
-        lv, lf = eval_assertion(a.left, s, quant_bound)
-        if isinstance(a, Implies):
-            lv = not lv
-        if isinstance(a, And):
-            if not lv and not lf:
-                return False, False  # certainly false by the left alone
-            rv, rf = eval_assertion(a.right, s, quant_bound)
-            if lv and rv:
-                return True, lf or rf
-            certain = (not lv and not lf) or (not rv and not rf)
-            return False, not certain
-        # Or / Implies
-        if lv and not lf:
-            return True, False  # certainly true by the left alone
-        rv, rf = eval_assertion(a.right, s, quant_bound)
-        if not lv and not rv:
-            return False, lf or rf
-        certain = (lv and not lf) or (rv and not rf)
-        return True, not certain
-    if isinstance(a, Exists):
-        bounded = False
-        for v in range(quant_bound + 1):
-            bv, bf = eval_assertion(a.body, s.set(a.var, v), quant_bound)
-            if bv and not bf:
-                return True, False
-            if bv:
-                bounded = True  # witness exists but is bound-relative
-        if bounded:
-            return True, True
-        return False, True  # range exhausted with no witness
-    if isinstance(a, Forall):
-        bounded = False
-        for v in range(quant_bound + 1):
-            bv, bf = eval_assertion(a.body, s.set(a.var, v), quant_bound)
-            if not bv and not bf:
-                return False, False
-            if not bv:
-                bounded = True  # counterexample exists but is bound-relative
-        if bounded:
-            return False, True
-        return True, True  # range exhausted while still true
-    raise TypeError(f"not an assertion: {a!r}")
+    given = s.as_dict()
+    names = sorted(free_vars(a) | given.keys())
+    (f,) = compile_assertions(names, quant_bound, a)
+    return f(tuple(given.get(n, 0) for n in names))
 
 
 def entails(
@@ -101,16 +49,19 @@ def entails(
     """Does every store satisfying ``hyp`` satisfy ``concl``?  Enumerates
     stores over the union of free variables, 0..domain_max each."""
     names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
+    h, c = compile_assertions(names, bounds.quant_bound, hyp, concl)
     flagged_cex = False
     valid_flags = False
-    for s in enumerate_states(names, bounds.domain_max):
-        hv, hf = eval_assertion(hyp, s, bounds.quant_bound)
-        cv, cf = eval_assertion(concl, s, bounds.quant_bound)
+    for st in store_tuples(names, bounds.domain_max):
+        hv, hf = h(st)
+        if not hv and not hf:
+            continue  # certainly outside the hypothesis
+        cv, cf = c(st)
         if hv and not cv:
             if not hf and not cf:
-                return Verdict("invalid", witness=s)
+                return Verdict("invalid", witness=State(zip(names, st)))
             flagged_cex = True
-        elif (hv or hf) and (not cv or cf):
+        elif not cv or cf:
             # no counterexample at face value, but bounds decided it
             valid_flags = True
     if flagged_cex:

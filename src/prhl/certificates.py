@@ -178,6 +178,8 @@ def _reject_duplicate_keys(pairs):
 def _parse_triple(obj, nid: str) -> Triple:
     if not isinstance(obj, dict) or set(obj) != {"pre", "prog", "post"}:
         raise CertificateError(f"malformed triple at node {nid!r}")
+    if not all(isinstance(v, str) for v in obj.values()):
+        raise CertificateError(f"malformed triple at node {nid!r}: a field is not a string")
     try:
         return Triple(
             parse_assertion(obj["pre"]),
@@ -210,7 +212,7 @@ def parse_proof(text: str) -> PrhlProof | CyclicPreProof:
     root = doc.get("root")
     if not isinstance(raw_nodes, dict) or not raw_nodes:
         raise CertificateError("malformed certificate: no nodes")
-    if root not in raw_nodes:
+    if not isinstance(root, str) or root not in raw_nodes:
         raise CertificateError(f"root {root!r} is not a node id")
 
     nodes: dict[str, ProofNode] = {}
@@ -218,7 +220,7 @@ def parse_proof(text: str) -> PrhlProof | CyclicPreProof:
         if not isinstance(raw, dict):
             raise CertificateError(f"malformed node {nid!r}")
         rule = raw.get("rule")
-        if rule not in arity:
+        if not isinstance(rule, str) or rule not in arity:
             raise CertificateError(f"unknown rule {rule!r} at node {nid!r}")
         children = raw.get("children", [])
         if not isinstance(children, list) or not all(isinstance(c, str) for c in children):

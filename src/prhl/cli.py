@@ -317,6 +317,8 @@ def _cmd_transform(args) -> int:
 
 def _cmd_wp(args) -> int:
     _bounds_of(args)  # bad bound flags are rejected here too
+    if args.unroll_depth < 0:
+        raise ValueError("unroll_depth must be non-negative")
     t = read_triple_file(args.file)
     res = wpr_formula(WprRequest(t.prog, t.post, args.loop_mode, args.unroll_depth))
     if args.format == "machine":

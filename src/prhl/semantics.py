@@ -7,14 +7,16 @@ that agree on all variables are equal objects.  Arithmetic is totalised:
 subtraction truncates at zero, division by zero yields zero, and modulo
 by zero returns the dividend.
 
+Inside the engine a store is a tuple of values in name order; ``State``
+is the store at the boundary: ``run_all``'s finals and verdict witnesses.
 A run starts by compiling the program into a table of labelled
 transitions, one label per continuation reachable from it (label 0 is the
-terminated program), with expressions compiled into closures over store
-tuples.  A configuration is a (label, store tuple) pair; its successors
-come in a fixed order (the left branch of a choice first) and are those
-of the small-step relation.  All exploration is breadth-first over
-configurations with dedup, so the reported distance of a final store is
-the minimal run length reaching it.
+terminated program); expressions, guards and assertions compile into
+closures over store tuples.  A configuration is a (label, store tuple)
+pair; its successors come in a fixed order (the left branch of a choice
+first) and are those of the small-step relation.  All exploration is
+breadth-first over configurations with dedup, so the reported distance
+of a final store is the minimal run length reaching it.
 Validity questions are decided by enumerating initial stores over the
 variables that occur in the triple, each component in 0..domain_max;
 intermediate values may grow past domain_max.  Verdicts are therefore
@@ -30,25 +32,33 @@ import graphlib
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .syntax import (
+    And,
     Assertion,
     Assign,
     BAnd,
     BinOp,
     BNot,
-    BOr,
+    Bool,
     BoolExpr,
+    BOr,
     Choice,
     Const,
     Empty,
     Eq,
+    Exists,
+    Forall,
+    Implies,
     Le,
+    Not,
+    Or,
     Prog,
     Seq,
     Var,
     While,
+    assertion_vars,
     free_vars,
     prog_vars,
     seq_of,
@@ -64,7 +74,7 @@ class State:
 
     __slots__ = ("_items",)
 
-    def __init__(self, mapping: Mapping[str, int] | None = None, **vals: int):
+    def __init__(self, mapping: Mapping[str, int] | Iterable[tuple[str, int]] | None = None, **vals: int):
         items = dict(mapping) if mapping else {}
         items.update(vals)
         for k, v in items.items():
@@ -117,32 +127,8 @@ _OPS = {
 }
 
 
-def eval_expr(e, s: State) -> int:
-    if isinstance(e, Var):
-        return s.get(e.name)
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, BinOp):
-        return _OPS[e.op](eval_expr(e.left, s), eval_expr(e.right, s))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def eval_bool(b: BoolExpr, s: State) -> bool:
-    if isinstance(b, Eq):
-        return eval_expr(b.left, s) == eval_expr(b.right, s)
-    if isinstance(b, Le):
-        return eval_expr(b.left, s) <= eval_expr(b.right, s)
-    if isinstance(b, BNot):
-        return not eval_bool(b.arg, s)
-    if isinstance(b, BAnd):
-        return eval_bool(b.left, s) and eval_bool(b.right, s)
-    if isinstance(b, BOr):
-        return eval_bool(b.left, s) or eval_bool(b.right, s)
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
 def _compile_expr(e, slot: Mapping[str, int]) -> Callable[[tuple], int]:
-    """``eval_expr`` as a closure over a store tuple indexed by ``slot``."""
+    """An expression as a closure over a store tuple indexed by ``slot``."""
     if isinstance(e, Var):
         i = slot[e.name]
         return lambda st: st[i]
@@ -168,6 +154,71 @@ def _compile_bool(b: BoolExpr, slot: Mapping[str, int]) -> Callable[[tuple], boo
             return lambda st: f(st) and g(st)
         return lambda st: f(st) or g(st)
     raise TypeError(f"not a boolean expression: {b!r}")
+
+
+# --- assertions ------------------------------------------------------------------
+
+Evaluator = Callable[[tuple], tuple[bool, bool]]
+
+
+def compile_assertions(box: Sequence[str], quant_bound: int, *assertions: Assertion) -> list[Evaluator]:
+    """Closures from a store tuple indexed like ``box`` to the (value,
+    bounded) pair of ``assertions.eval_assertion``, one per assertion.
+    The slots are the box names, then the names only a quantifier binds,
+    which are zero until bound; a quantifier sets the slot of its name."""
+    only_bound = sorted(set().union(*map(assertion_vars, assertions)) - set(box))
+    slot = {n: i for i, n in enumerate([*box, *only_bound])}
+    pad = (0,) * len(only_bound)
+    out = []
+    for a in assertions:
+        f = _compile_assertion(a, slot, quant_bound, False)
+        out.append((lambda st, f=f: f(st + pad)) if pad else f)
+    return out
+
+
+def _compile_assertion(a: Assertion, slot: Mapping[str, int], qb: int, neg: bool) -> Evaluator:
+    """``a`` (negated if ``neg``) by the dualities And = ¬(¬l ∨ ¬r),
+    Implies = ¬l ∨ r and Forall = ¬∃¬; negation keeps the flag."""
+    if isinstance(a, Bool):
+        g = _compile_bool(a.expr, slot)
+        return (lambda st: (not g(st), False)) if neg else (lambda st: (g(st), False))
+    if isinstance(a, Not):
+        return _compile_assertion(a.arg, slot, qb, not neg)
+    if isinstance(a, (And, Or, Implies)):
+        conj = isinstance(a, And)
+        f = _compile_assertion(a.left, slot, qb, conj or isinstance(a, Implies))
+        g = _compile_assertion(a.right, slot, qb, conj)
+        neg = neg != conj
+        yes, no = not neg, neg
+
+        def either(st):
+            lv, lf = f(st)
+            if lv and not lf:
+                return yes, False  # certain by the left alone
+            rv, rf = g(st)
+            if not lv and not rv:
+                return no, lf or rf
+            return yes, not (rv and not rf)
+
+        return either
+    if isinstance(a, (Exists, Forall)):
+        univ = isinstance(a, Forall)
+        i, f, values = slot[a.var], _compile_assertion(a.body, slot, qb, univ), range(qb + 1)
+        neg = neg != univ
+
+        def some(st):
+            bounded = False  # a witness found, but only a bound-relative one
+            head, tail = st[:i], st[i + 1 :]
+            for v in values:
+                bv, bf = f(head + (v,) + tail)
+                if bv:
+                    if not bf:
+                        return not neg, False
+                    bounded = True
+            return bounded != neg, True  # the range ran out
+
+        return some
+    raise TypeError(f"not an assertion: {a!r}")
 
 
 # --- programs as label tables -------------------------------------------------
@@ -261,13 +312,14 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
 @dataclass(frozen=True)
 class RunResult:
     """Final stores with their minimal run lengths, in the order they
-    were reached.  ``exhausted``: the step budget, the work cap or
+    were reached: ``State``s from ``run_all``, store tuples from
+    ``explore``.  ``exhausted``: the step budget, the work cap or
     ``VALUE_BIT_CAP`` cut some run, and ``finals`` may be incomplete.
     ``truncated``: exhausted, or some configuration reaches itself (an
     infinite run exists; runs merging into one configuration are not).
     """
 
-    finals: dict[State, int]
+    finals: dict
     truncated: bool
     exhausted: bool
 
@@ -280,16 +332,23 @@ def run_all(p: Prog | Compiled, s: State, step_bound: int) -> RunResult:
     c = p if isinstance(p, Compiled) else compile_program(p, sorted(prog_vars(p) | given.keys()))
     if not given.keys() <= set(c.names):
         raise ValueError(f"run_all: store variables {sorted(given.keys() - set(c.names))} not compiled")
+    r = explore(c, tuple(given.get(n, 0) for n in c.names), step_bound)
+    return RunResult({State(zip(c.names, f)): n for f, n in r.finals.items()}, r.truncated, r.exhausted)
+
+
+def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
+    """``run_all`` on a store tuple indexed like ``c.names``; the finals
+    are store tuples."""
     if c.start == 0:
-        return RunResult({s: 0}, False, False)
-    names, steps = c.names, c.steps
-    cfg0 = (c.start, tuple(given.get(n, 0) for n in names))
+        return RunResult({store: 0}, False, False)
+    steps = c.steps
+    cfg0 = (c.start, store)
     # assignments check the value they store; only the initial store can
     # carry a value past the cap into another step
-    dirty = _over_cap(cfg0[1])
+    dirty = _over_cap(store)
     visited = {cfg0: 0}  # configuration -> depth
     frontier = [cfg0]
-    finals: dict[State, int] = {}
+    finals: dict[tuple, int] = {}
     back = False  # a repeat reached a configuration no deeper than its source
     overflow = False
     depth = 0
@@ -316,7 +375,7 @@ def run_all(p: Prog | Compiled, s: State, step_bound: int) -> RunResult:
                 if succ[0]:
                     nxt.append(succ)
                 else:
-                    finals[State(dict(zip(names, succ[1])))] = depth
+                    finals[succ[1]] = depth
         frontier = nxt
         dirty = False
     exhausted = bool(frontier) or overflow
@@ -378,12 +437,10 @@ class Verdict:
         return self.kind == "unknown"
 
 
-def enumerate_states(names: Iterable[str], domain_max: int) -> Iterator[State]:
-    """All stores over the given variables with values 0..domain_max, in
-    lexicographic order of the name-sorted value tuple."""
-    order = sorted(set(names))
-    for values in itertools.product(range(domain_max + 1), repeat=len(order)):
-        yield State(dict(zip(order, values)))
+def store_tuples(names: Sequence[str], domain_max: int) -> Iterator[tuple]:
+    """All stores over ``names`` with values 0..domain_max, as value
+    tuples in lexicographic order."""
+    return itertools.product(range(domain_max + 1), repeat=len(names))
 
 
 def relevant_vars(pre: Assertion, prog: Prog, post: Assertion) -> list[str]:
@@ -411,36 +468,32 @@ def check_triple(
     hit a quantifier bound are never reported as Invalid; they degrade the
     verdict to Unknown instead.
     """
-    # imported here: assertions builds on this module
-    from .assertions import eval_assertion
-
     if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
     names = relevant_vars(pre, prog, post)
-
-    @functools.cache
-    def eval_post(s: State) -> tuple[bool, bool]:
-        v, fl = eval_assertion(post, s, bounds.quant_bound)
-        return v, bool(fl)
-
-    # rows: (s0, s0 in the pre, that bound-relative, the runs from s0)
     compiled = compile_program(prog, names)
-    rows = []
-    for s0 in enumerate_states(names, bounds.domain_max):
-        pv, pfl = eval_assertion(pre, s0, bounds.quant_bound)
-        rows.append((s0, pv, bool(pfl), run_all(compiled, s0, bounds.step_bound)))
+    pre_of, post_of = compile_assertions(names, bounds.quant_bound, pre, post)
+    eval_post = functools.cache(post_of)
 
-    clean: list[tuple] = []  # sortable (depth/ord, tiebreaks, witness)
+    # rows: (index in the box, s0, s0 in the pre, that bound-relative, the
+    # runs from s0) for each s0 that can start a counterexample: one outside
+    # the pre for partial-reverse, one in it for the other logics
+    outside = logic == "partial-reverse"
+    rows = []
+    for idx, s0 in enumerate(store_tuples(names, bounds.domain_max)):
+        pv, pfl = pre_of(s0)
+        if pfl or pv != outside:
+            rows.append((idx, s0, pv, pfl, explore(compiled, s0, bounds.step_bound)))
+
+    clean: list[tuple] = []  # (depth/index, index, final, stores of the witness)
     budget_risk = False  # exploration cut where a counterexample could hide
     quant_risk = False  # quantifier bound touched a potential counterexample
 
     if logic in ("partial-reverse", "partial-hoare"):
         # counterexample: a run s0 ->* f with s0 outside the pre and f in
         # the post (partial-reverse), or the other way round (partial-hoare)
-        hoare = logic == "partial-hoare"
-        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
-            if pre_true != hoare and not pre_flags:
-                continue  # s0 certainly cannot witness
+        hoare = not outside
+        for idx, s0, pre_true, pre_flags, r in rows:
             if r.exhausted:
                 budget_risk = True
             for f, depth in r.finals.items():
@@ -448,51 +501,47 @@ def check_triple(
                 if fv == hoare and not ffl:
                     continue
                 if pre_true == hoare and not pre_flags and not ffl:
-                    clean.append((depth, idx, f.sort_key(), (s0, f)))
+                    clean.append((depth, idx, f, (s0, f)))
                 else:
                     quant_risk = True
     elif logic == "total-hoare":
         # counterexample: s0 in pre with no terminating run into post
-        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
-            if not pre_true and not pre_flags:
-                continue
+        for idx, s0, pre_true, pre_flags, r in rows:
             finals = [eval_post(f) for f in r.finals]
             if any(v and not fl for v, fl in finals):
                 continue  # certainly has a run into the post
             if r.exhausted:
                 budget_risk = True
             elif pre_true and not pre_flags and not any(v or fl for v, fl in finals):
-                clean.append((idx, (), (), s0))
+                clean.append((idx, 0, (), (s0,)))
             else:
                 quant_risk = True
     elif logic == "incorrectness":
         # counterexample: a post store (in the box) no pre store reaches
-        reach_cert: set[State] = set()
-        reach_poss: set[State] = set()
+        reach_cert: set[tuple] = set()
+        reach_poss: set[tuple] = set()
         poss_exhausted = False
-        for s0, pre_true, pre_flags, r in rows:
+        for _, _, pre_true, pre_flags, r in rows:
             if pre_true and not pre_flags:
                 reach_cert.update(r.finals)
-            if pre_true or pre_flags:
-                reach_poss.update(r.finals)
-                if r.exhausted:
-                    poss_exhausted = True
-        for idx, f in enumerate(enumerate_states(names, bounds.domain_max)):
+            reach_poss.update(r.finals)
+            poss_exhausted = poss_exhausted or r.exhausted
+        for idx, f in enumerate(store_tuples(names, bounds.domain_max)):
             fv, ffl = eval_post(f)
-            if not fv and not ffl:
-                continue
-            if f in reach_cert:
+            if not fv and not ffl or f in reach_cert:
                 continue
             if poss_exhausted:
                 budget_risk = True
             elif fv and not ffl and f not in reach_poss:
-                clean.append((idx, (), (), f))
+                clean.append((idx, 0, (), (f,)))
             else:
                 quant_risk = True
 
     if clean:
-        clean.sort(key=lambda t: t[:3])
-        return Verdict("invalid", witness=clean[0][3])
+        # ties between finals go by State.sort_key: nonzero entries by name
+        *_, stores = min(clean, key=lambda t: (t[0], t[1], [(n, v) for n, v in zip(names, t[2]) if v]))
+        witness = tuple(State(zip(names, st)) for st in stores)
+        return Verdict("invalid", witness=witness if len(witness) == 2 else witness[0])
     if budget_risk:
         return Verdict("unknown", reason="step-budget-exhausted")
     if quant_risk:

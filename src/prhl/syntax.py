@@ -823,13 +823,6 @@ def parse_assertion(text: str) -> Assertion:
     return canon(alpha_rename(a))
 
 
-def parse_bool_expr(text: str) -> BoolExpr:
-    parser = _Parser(text)
-    b = parser.bool_expr()
-    parser.done()
-    return b
-
-
 # --- printing ------------------------------------------------------------
 
 _EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}

@@ -1,29 +1,21 @@
 """Reference implementations and generators shared by the test suite.
 
-Computations the library performs by compiled small-step BFS, formula
-construction, or induced-subgraph analysis are reproduced here by
-structurally different means (tree-rewriting small steps, denotational
-recursion, streak-tracking path unrolling) so the two sides can be
-compared on random inputs.
+Computations the library performs by compiled small-step BFS, closures
+over store tuples, formula construction, or induced-subgraph analysis are
+reproduced here by structurally different means (tree-rewriting small
+steps, tree-walking evaluation over ``State``, denotational recursion,
+streak-tracking path unrolling) so the two sides can be compared on
+random inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from prhl.assertions import entails, eval_assertion
 from prhl.certificates import CyclicPreProof, ProofNode, Triple
-from prhl.semantics import (
-    VALUE_BIT_CAP,
-    Bounds,
-    RunResult,
-    State,
-    enumerate_states,
-    eval_bool,
-    eval_expr,
-    run_all,
-)
+from prhl.semantics import VALUE_BIT_CAP, Bounds, RunResult, State, Verdict, run_all
 from prhl.syntax import (
     And,
     Assign,
@@ -46,9 +38,139 @@ from prhl.syntax import (
     Seq,
     Var,
     While,
+    free_vars,
+    parse_program,
     prog_vars,
     seq_of,
 )
+
+
+def parse_bool_expr(text: str):
+    """A guard on its own, read through the program parser."""
+    return parse_program(f"while {text} do {{ skip }}").guard
+
+
+# --- evaluation by walking the tree over State ----------------------------------
+
+
+def eval_expr(e, s: State) -> int:
+    """Totalised arithmetic: subtraction truncates at zero, division by
+    zero is zero, modulo by zero is the dividend."""
+    if isinstance(e, Var):
+        return s.get(e.name)
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, BinOp):
+        l, r = eval_expr(e.left, s), eval_expr(e.right, s)
+        if e.op == "+":
+            return l + r
+        if e.op == "-":
+            return max(l - r, 0)
+        if e.op == "*":
+            return l * r
+        if e.op == "/":
+            return l // r if r else 0
+        if e.op == "%":
+            return l % r if r else l
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def eval_bool(b, s: State) -> bool:
+    if isinstance(b, Eq):
+        return eval_expr(b.left, s) == eval_expr(b.right, s)
+    if isinstance(b, Le):
+        return eval_expr(b.left, s) <= eval_expr(b.right, s)
+    if isinstance(b, BNot):
+        return not eval_bool(b.arg, s)
+    if isinstance(b, BAnd):
+        return eval_bool(b.left, s) and eval_bool(b.right, s)
+    if isinstance(b, BOr):
+        return eval_bool(b.left, s) or eval_bool(b.right, s)
+    raise TypeError(f"not a boolean expression: {b!r}")
+
+
+def eval_assertion_ref(a, s: State, quant_bound: int) -> tuple[bool, bool]:
+    """``assertions.eval_assertion`` case by case: (value, bounded), a
+    side that decides a connective with certainty cutting the other."""
+    if isinstance(a, Bool):
+        return eval_bool(a.expr, s), False
+    if isinstance(a, Not):
+        v, fl = eval_assertion_ref(a.arg, s, quant_bound)
+        return (not v), fl
+    if isinstance(a, (And, Or, Implies)):
+        lv, lf = eval_assertion_ref(a.left, s, quant_bound)
+        if isinstance(a, Implies):
+            lv = not lv
+        if isinstance(a, And):
+            if not lv and not lf:
+                return False, False  # certainly false by the left alone
+            rv, rf = eval_assertion_ref(a.right, s, quant_bound)
+            if lv and rv:
+                return True, lf or rf
+            certain = (not lv and not lf) or (not rv and not rf)
+            return False, not certain
+        # Or / Implies
+        if lv and not lf:
+            return True, False  # certainly true by the left alone
+        rv, rf = eval_assertion_ref(a.right, s, quant_bound)
+        if not lv and not rv:
+            return False, lf or rf
+        certain = (lv and not lf) or (rv and not rf)
+        return True, not certain
+    if isinstance(a, Exists):
+        bounded = False
+        for v in range(quant_bound + 1):
+            bv, bf = eval_assertion_ref(a.body, s.set(a.var, v), quant_bound)
+            if bv and not bf:
+                return True, False
+            if bv:
+                bounded = True  # witness exists but is bound-relative
+        if bounded:
+            return True, True
+        return False, True  # range exhausted with no witness
+    if isinstance(a, Forall):
+        bounded = False
+        for v in range(quant_bound + 1):
+            bv, bf = eval_assertion_ref(a.body, s.set(a.var, v), quant_bound)
+            if not bv and not bf:
+                return False, False
+            if not bv:
+                bounded = True  # counterexample exists but is bound-relative
+        if bounded:
+            return False, True
+        return True, True  # range exhausted while still true
+    raise TypeError(f"not an assertion: {a!r}")
+
+
+def enumerate_states(names: Iterable[str], domain_max: int) -> Iterator[State]:
+    """All stores over the given variables with values 0..domain_max, in
+    lexicographic order of the name-sorted value tuple."""
+    order = sorted(set(names))
+    for values in itertools.product(range(domain_max + 1), repeat=len(order)):
+        yield State(dict(zip(order, values)))
+
+
+def entails_ref(hyp, concl, bounds: Bounds, extra_vars: Iterable[str] = ()) -> Verdict:
+    """``assertions.entails`` over a box of ``State``s, both sides
+    evaluated at every store."""
+    names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
+    flagged_cex = False
+    valid_flags = False
+    for s in enumerate_states(names, bounds.domain_max):
+        hv, hf = eval_assertion_ref(hyp, s, bounds.quant_bound)
+        cv, cf = eval_assertion_ref(concl, s, bounds.quant_bound)
+        if hv and not cv:
+            if not hf and not cf:
+                return Verdict("invalid", witness=s)
+            flagged_cex = True
+        elif (hv or hf) and (not cv or cf):
+            valid_flags = True
+    if flagged_cex:
+        return Verdict("unknown", reason="quantifier-bounded")
+    if valid_flags:
+        return Verdict("valid", flags=("quantifier-bounded",))
+    return Verdict("valid")
+
 
 # --- small steps by tree rewriting -------------------------------------------
 
@@ -284,6 +406,61 @@ def min_triple_witness(pre, prog, post, states, step_bound: int, quant_bound: in
     return best[0], best[3], best[4]
 
 
+def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds) -> Verdict:
+    """``semantics.check_triple`` over a box of ``State``s: every store's
+    runs by tree rewriting, assertions by tree walking, and candidate
+    witnesses sorted by (run length or box index, box index,
+    ``State.sort_key`` of the final)."""
+    names = sorted(free_vars(pre) | free_vars(post) | prog_vars(prog))
+    qb = bounds.quant_bound
+    box = list(enumerate_states(names, bounds.domain_max))
+    rows = [(s0, *eval_assertion_ref(pre, s0, qb), run_all_ref(prog, s0, bounds.step_bound)) for s0 in box]
+    clean, budget_risk, quant_risk = [], False, False
+    if logic in ("partial-reverse", "partial-hoare"):
+        hoare = logic == "partial-hoare"
+        for idx, (s0, pv, pfl, r) in enumerate(rows):
+            if pv == hoare or pfl:
+                budget_risk = budget_risk or r.exhausted
+                for f, depth in r.finals.items():
+                    fv, ffl = eval_assertion_ref(post, f, qb)
+                    if fv != hoare or ffl:
+                        if pv == hoare and not pfl and not ffl:
+                            clean.append((depth, idx, f.sort_key(), (s0, f)))
+                        else:
+                            quant_risk = True
+    elif logic == "total-hoare":
+        for idx, (s0, pv, pfl, r) in enumerate(rows):
+            finals = [eval_assertion_ref(post, f, qb) for f in r.finals]
+            if not (pv or pfl) or any(v and not fl for v, fl in finals):
+                continue
+            if r.exhausted:
+                budget_risk = True
+            elif pv and not pfl and not any(v or fl for v, fl in finals):
+                clean.append((idx, (), (), s0))
+            else:
+                quant_risk = True
+    else:
+        cert = {f for s0, pv, pfl, r in rows if pv and not pfl for f in r.finals}
+        poss = {f for s0, pv, pfl, r in rows if pv or pfl for f in r.finals}
+        poss_exhausted = any(r.exhausted for s0, pv, pfl, r in rows if pv or pfl)
+        for idx, f in enumerate(box):
+            fv, ffl = eval_assertion_ref(post, f, qb)
+            if (fv or ffl) and f not in cert:
+                if poss_exhausted:
+                    budget_risk = True
+                elif fv and not ffl and f not in poss:
+                    clean.append((idx, (), (), f))
+                else:
+                    quant_risk = True
+    if clean:
+        return Verdict("invalid", witness=min(clean, key=lambda t: t[:3])[3])
+    if budget_risk:
+        return Verdict("unknown", reason="step-budget-exhausted")
+    if quant_risk:
+        return Verdict("unknown", reason="quantifier-bounded")
+    return Verdict("valid")
+
+
 # --- global soundness by path unrolling ---------------------------------------
 
 _CORE = ("Cons", "OpenLeaf")
@@ -333,12 +510,12 @@ def decode_sequence(n: int, m: int, length: int) -> list[int]:
 
 def assert_holds(a, s: State, quant_bound: int) -> bool:
     """Bound-relative truth value, flags dropped."""
-    return eval_assertion(a, s, quant_bound)[0]
+    return eval_assertion_ref(a, s, quant_bound)[0]
 
 
 def models_tautology(a, bounds: Bounds, extra_vars: Iterable[str] = ()):
     """Is the assertion true in every store (up to the bounds)?"""
-    return entails(Bool(Eq(Const(0), Const(0))), a, bounds, extra_vars)
+    return entails_ref(Bool(Eq(Const(0), Const(0))), a, bounds, extra_vars)
 
 
 # --- random term generators -----------------------------------------------

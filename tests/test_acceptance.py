@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oracles import assert_holds, decode_sequence
+from oracles import assert_holds, decode_sequence, enumerate_states, eval_bool, eval_expr
 from prhl.assertions import BoundedOracle, eval_assertion
 from prhl.certificates import CyclicPreProof, ProofNode, Triple, parse_proof, to_tree
 from prhl.checker import check_cprhl, check_prhl, global_soundness, guard_implies
@@ -19,9 +19,6 @@ from prhl.semantics import (
     Bounds,
     State,
     check_triple,
-    enumerate_states,
-    eval_bool,
-    eval_expr,
     run_all,
 )
 from prhl.syntax import (

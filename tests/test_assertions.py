@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, gen_assertion, gen_state, models_tautology
+from oracles import (
+    assert_holds,
+    entails_ref,
+    eval_assertion_ref,
+    gen_assertion,
+    gen_bool,
+    gen_state,
+    models_tautology,
+)
 from prhl.assertions import BoundedOracle, EntailmentOracle, entails, eval_assertion
 from prhl.semantics import Bounds, State
+from prhl.syntax import And, Bool, Exists, Forall, Implies, Not, Or
 from prhl.syntax import parse_assertion as pa
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -100,3 +109,48 @@ def test_entails_invalid_is_monotone_in_domain(seed):
     if small.is_invalid:
         big = entails(hyp, concl, Bounds(4, 100, 16), extra_vars=NAMES)
         assert big.is_invalid
+
+
+# --- the compiled evaluator against the tree-walker ------------------------------
+
+# q is never in a store: free it reads 0, bound it takes a slot of its own
+QNAMES = ["x", "i", "q"]
+
+
+def _odd_shape(rng, a):
+    """``a`` inside a shape the parser would fold or never build."""
+    b = Bool(gen_bool(rng, QNAMES, 1))
+    pick = rng.randrange(6)
+    if pick == 0:
+        return Not(Not(a))
+    if pick == 1:
+        return And(b, Bool(gen_bool(rng, QNAMES, 1)))
+    if pick == 2:
+        return rng.choice((And, Or, Implies))(a, Not(b))
+    if pick == 3:
+        return rng.choice((Exists, Forall))(rng.choice(QNAMES), rng.choice((Exists, Forall))("q", a))
+    return a
+
+
+@given(SEEDS)
+@settings(max_examples=400, deadline=None)
+def test_eval_assertion_matches_tree_walker(seed):
+    rng = random.Random(seed)
+    a = _odd_shape(rng, gen_assertion(rng, QNAMES, 4, quant=True))
+    qb = rng.randrange(5)
+    for _ in range(4):
+        # z is in the store but not in the assertion
+        s = gen_state(rng, rng.choice((NAMES, NAMES + ["z"])), 4)
+        assert eval_assertion(a, s, qb) == eval_assertion_ref(a, s, qb)
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_entails_matches_state_box_reference(seed):
+    # verdict kind, witness, reason and flags
+    rng = random.Random(seed)
+    hyp = _odd_shape(rng, gen_assertion(rng, QNAMES, 3, quant=True))
+    concl = _odd_shape(rng, gen_assertion(rng, QNAMES, 3, quant=True))
+    b = Bounds(rng.randrange(4), 100, rng.randrange(4))
+    extra = rng.choice(((), ("x",), ("z",)))
+    assert entails(hyp, concl, b, extra) == entails_ref(hyp, concl, b, extra)

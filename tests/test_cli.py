@@ -194,6 +194,33 @@ def test_check_proof_machine_report(capsys):
     assert doc["nodes"]["n2"]["status"] == "ok"
 
 
+def _axiom_certificate(**changes):
+    triple = {"pre": "true", "prog": "skip", "post": "true"}
+    node = {"rule": "Axiom", "triple": triple, "children": []}
+    doc = {"system": "prhl", "root": "n1", "nodes": {"n1": node}}
+    for key, value in changes.items():
+        (triple if key in triple else node if key in node else doc)[key] = value
+    return json.dumps(doc)
+
+
+def test_check_proof_root_of_wrong_type(tmp_path, capsys):
+    # the certificate as built is accepted; only the changed field is bad
+    assert main(["check-proof", write(tmp_path, "ok.json", _axiom_certificate())]) == 0
+    capsys.readouterr()
+    assert main(["check-proof", write(tmp_path, "c.json", _axiom_certificate(root=[1]))]) == 3
+    assert capsys.readouterr().err == "error: root [1] is not a node id\n"
+
+
+def test_check_proof_rule_of_wrong_type(tmp_path, capsys):
+    assert main(["check-proof", write(tmp_path, "c.json", _axiom_certificate(rule=["Axiom"]))]) == 3
+    assert capsys.readouterr().err == "error: unknown rule ['Axiom'] at node 'n1'\n"
+
+
+def test_check_proof_triple_field_of_wrong_type(tmp_path, capsys):
+    assert main(["check-proof", write(tmp_path, "c.json", _axiom_certificate(pre=1))]) == 3
+    assert capsys.readouterr().err == "error: malformed triple at node 'n1': a field is not a string\n"
+
+
 # --- prove / transform ---------------------------------------------------------------
 
 
@@ -284,6 +311,13 @@ def test_usage_errors_exit_3(capsys):
 def test_negative_bounds_rejected(capsys):
     assert main(["check-triple", "corpus/ex3.triple", "--domain-max", "-1"]) == 3
     assert "negative" in capsys.readouterr().err
+
+
+def test_negative_unroll_depth_rejected(capsys):
+    assert main(["wp", "corpus/ex3.triple", "--loop-mode", "unroll", "--unroll-depth", "-3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: unroll_depth must be non-negative\n"
+    assert captured.out == ""
 
 
 def test_missing_file_is_reported(capsys):

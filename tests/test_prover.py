@@ -211,7 +211,8 @@ def test_transform_never_builds_progress_free_cycles(seed):
     body = normalize_program(gen_prog(rng, NAMES, 1, loops=False))
     if isinstance(body, Empty):
         return
-    from prhl.syntax import While, parse_bool_expr
+    from oracles import parse_bool_expr
+    from prhl.syntax import While
 
     prog = While(parse_bool_expr("i < 2"), body, invariant=pa("true"))
     post = pa("true")

@@ -8,35 +8,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    check_triple_ref,
     denormalize,
     denot_finals,
+    enumerate_states,
+    eval_bool,
+    eval_expr,
+    gen_assertion,
     gen_prog,
     gen_state,
     has_cycle_ref,
     min_triple_witness,
+    parse_bool_expr,
     run_all_ref,
     step_ref,
     transformer_set,
 )
 from prhl.semantics import (
+    LOGICS,
     Bounds,
     State,
     check_triple,
     compile_program,
-    enumerate_states,
-    eval_bool,
-    eval_expr,
     format_state,
     relevant_vars,
     run_all,
+    store_tuples,
 )
+from prhl.assertions import eval_assertion
 from prhl.syntax import (
     Assign,
+    Bool,
     Choice,
     Empty,
     Seq,
     parse_assertion,
-    parse_bool_expr,
     parse_program,
     prog_vars,
 )
@@ -77,26 +83,39 @@ def test_enumerate_states_box():
     assert len(box) == 9
     assert len(set(box)) == 9
     assert State() in box
+    # the engine's value tuples come in the same order
+    assert [State(zip(["i", "x"], st)) for st in store_tuples(["i", "x"], 2)] == box
 
 
 # --- expression evaluation (total, over naturals) ------------------------------
 
 
+def _compiled_bool(b, s):
+    return eval_assertion(Bool(b), s, 0)[0]
+
+
+def _compiled_expr(e, s):
+    (final,) = run_all(Assign("y", e), s, 1).finals
+    return final.get("y")
+
+
 def test_eval_expr_totalized():
     s = State(x=7)
-    assert eval_expr(expr("x / 0"), s) == 0
-    assert eval_expr(expr("x % 0"), s) == 7
-    assert eval_expr(expr("0 - x"), s) == 0
-    assert eval_expr(expr("x - 3"), s) == 4
-    assert eval_expr(expr("x * 2 + 1"), s) == 15
-    assert eval_expr(expr("x % 4"), s) == 3
+    for evaluate in (eval_expr, _compiled_expr):
+        assert evaluate(expr("x / 0"), s) == 0
+        assert evaluate(expr("x % 0"), s) == 7
+        assert evaluate(expr("0 - x"), s) == 0
+        assert evaluate(expr("x - 3"), s) == 4
+        assert evaluate(expr("x * 2 + 1"), s) == 15
+        assert evaluate(expr("x % 4"), s) == 3
 
 
 def test_eval_bool():
     s = State(x=2)
-    assert eval_bool(parse_bool_expr("x = 2"), s)
-    assert eval_bool(parse_bool_expr("x <= 2 && !(x = 0)"), s)
-    assert not eval_bool(parse_bool_expr("x < 2 || x > 2"), s)
+    for evaluate in (eval_bool, _compiled_bool):
+        assert evaluate(parse_bool_expr("x = 2"), s)
+        assert evaluate(parse_bool_expr("x <= 2 && !(x = 0)"), s)
+        assert not evaluate(parse_bool_expr("x < 2 || x > 2"), s)
 
 
 # --- small-step relation --------------------------------------------------------
@@ -521,6 +540,20 @@ def test_check_triple_quantifier_unknown():
         Bounds(2, 30, 0),
     )
     assert v.is_unknown and v.reason == "quantifier-bounded"
+
+
+@given(SEEDS)
+@settings(max_examples=150, deadline=None)
+def test_check_triple_matches_state_box_reference(seed):
+    # verdict kind, witness (ties included), reason and flags, in all four
+    # logics, with quantified pre and post whose binders shadow store names
+    rng = random.Random(seed)
+    p = gen_prog(rng, NAMES, 2)
+    pre = gen_assertion(rng, NAMES + ["q"], 2, quant=True)
+    post = gen_assertion(rng, NAMES + ["q"], 2, quant=True)
+    b = Bounds(domain_max=rng.randrange(1, 4), step_bound=rng.choice([3, 40, 500]), quant_bound=rng.randrange(4))
+    for logic in LOGICS:
+        assert check_triple(logic, pre, p, post, b) == check_triple_ref(logic, pre, p, post, b)
 
 
 @given(SEEDS)

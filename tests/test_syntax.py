@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, gen_assertion, gen_expr, gen_prog, gen_state
+from oracles import assert_holds, eval_expr, gen_assertion, gen_expr, gen_prog, gen_state
+from prhl.assertions import eval_assertion
 from prhl.semantics import State
 from prhl.syntax import (
     And,
@@ -104,6 +105,7 @@ def test_print_parse_round_trip_programs(seed):
 
 
 @given(SEEDS)
+@settings(deadline=None)
 def test_print_parse_round_trip_assertions(seed):
     # the parser folds bare boolean conjunctions below the assertion
     # level, so round-tripping stabilizes after one pass and preserves
@@ -154,9 +156,6 @@ def test_subst_agrees_with_state_update(seed):
     e = gen_expr(rng, NAMES, 2)
     x = rng.choice(NAMES)
     s = gen_state(rng, NAMES, 4)
-    from prhl.assertions import eval_assertion
-    from prhl.semantics import eval_expr
-
     lhs = eval_assertion(subst(a, [(x, e)]), s, 16)
     rhs = eval_assertion(a, s.set(x, eval_expr(e, s)), 16)
     assert lhs == rhs

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, decode_sequence, gen_assertion, gen_prog, transformer_set
-from prhl.semantics import Bounds, State, enumerate_states
+from oracles import assert_holds, decode_sequence, enumerate_states, gen_assertion, gen_prog, transformer_set
+from prhl.semantics import Bounds, State
 from prhl.syntax import (
     Exists,
     Var,

@@ -475,15 +475,13 @@ def check_triple(
     pre_of, post_of = compile_assertions(names, bounds.quant_bound, pre, post)
     eval_post = functools.cache(post_of)
 
-    # rows: (index in the box, s0, s0 in the pre, that bound-relative, the
-    # runs from s0) for each s0 that can start a counterexample: one outside
-    # the pre for partial-reverse, one in it for the other logics
-    outside = logic == "partial-reverse"
+    # rows: (s0, s0 in the pre, that bound-relative, the runs from s0) for
+    # every s0 in the box, so a query costs the same whatever share of the
+    # box its pre holds on
     rows = []
-    for idx, s0 in enumerate(store_tuples(names, bounds.domain_max)):
+    for s0 in store_tuples(names, bounds.domain_max):
         pv, pfl = pre_of(s0)
-        if pfl or pv != outside:
-            rows.append((idx, s0, pv, pfl, explore(compiled, s0, bounds.step_bound)))
+        rows.append((s0, pv, pfl, explore(compiled, s0, bounds.step_bound)))
 
     clean: list[tuple] = []  # (depth/index, index, final, stores of the witness)
     budget_risk = False  # exploration cut where a counterexample could hide
@@ -492,8 +490,10 @@ def check_triple(
     if logic in ("partial-reverse", "partial-hoare"):
         # counterexample: a run s0 ->* f with s0 outside the pre and f in
         # the post (partial-reverse), or the other way round (partial-hoare)
-        hoare = not outside
-        for idx, s0, pre_true, pre_flags, r in rows:
+        hoare = logic == "partial-hoare"
+        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
+            if pre_true != hoare and not pre_flags:
+                continue  # s0 certainly cannot witness
             if r.exhausted:
                 budget_risk = True
             for f, depth in r.finals.items():
@@ -506,7 +506,9 @@ def check_triple(
                     quant_risk = True
     elif logic == "total-hoare":
         # counterexample: s0 in pre with no terminating run into post
-        for idx, s0, pre_true, pre_flags, r in rows:
+        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
+            if not pre_true and not pre_flags:
+                continue
             finals = [eval_post(f) for f in r.finals]
             if any(v and not fl for v, fl in finals):
                 continue  # certainly has a run into the post
@@ -521,11 +523,12 @@ def check_triple(
         reach_cert: set[tuple] = set()
         reach_poss: set[tuple] = set()
         poss_exhausted = False
-        for _, _, pre_true, pre_flags, r in rows:
+        for _, pre_true, pre_flags, r in rows:
             if pre_true and not pre_flags:
                 reach_cert.update(r.finals)
-            reach_poss.update(r.finals)
-            poss_exhausted = poss_exhausted or r.exhausted
+            if pre_true or pre_flags:
+                reach_poss.update(r.finals)
+                poss_exhausted = poss_exhausted or r.exhausted
         for idx, f in enumerate(store_tuples(names, bounds.domain_max)):
             fv, ffl = eval_post(f)
             if not fv and not ffl or f in reach_cert:

@@ -41,6 +41,7 @@ from .syntax import (
     Assertion,
     ParseError,
     Prog,
+    erase_invariants,
     parse_assertion,
     parse_program,
     print_assertion,
@@ -274,7 +275,8 @@ def parse_proof(text: str) -> PrhlProof | CyclicPreProof:
             raise CertificateError(f"backlink source {src!r} is not an open leaf")
         if not nodes[dst].children:
             raise CertificateError("companion must be inner node")
-        if nodes[src].triple != nodes[dst].triple:
+        s, d = nodes[src].triple, nodes[dst].triple
+        if (s.pre, erase_invariants(s.prog), s.post) != (d.pre, erase_invariants(d.prog), d.post):
             raise CertificateError(
                 f"backlink {src!r} -> {dst!r} joins structurally different triples"
             )

@@ -51,6 +51,7 @@ from .syntax import (
     While,
     canon,
     decompose_head,
+    erase_invariants,
     expr_vars,
     free_vars,
     normalize_program,
@@ -63,11 +64,11 @@ from .syntax import (
 
 
 def _aeq(a: Assertion, b: Assertion) -> bool:
-    return canon(a) == canon(b)
+    return canon(a) is canon(b)
 
 
 def _peq(p: Prog, q: Prog) -> bool:
-    return normalize_program(p) == normalize_program(q)
+    return erase_invariants(normalize_program(p)) is erase_invariants(normalize_program(q))
 
 
 def guard_implies(guard, pre: Assertion, negate: bool = False) -> Assertion:

@@ -59,7 +59,9 @@ from .syntax import (
     Var,
     While,
     assertion_vars,
+    erase_invariants,
     free_vars,
+    normalize_program,
     prog_vars,
     seq_of,
 )
@@ -270,10 +272,14 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
     its run lengths."""
     names = tuple(names)
     slot = {n: i for i, n in enumerate(names)}
-    # a worklist in this one frame: hashing a program already recurses as
-    # deep as the program is long
+    # a worklist in this one frame; labels compare programs by identity,
+    # and a loop's annotation does not change its runs
+    prog = erase_invariants(prog)
     labels: dict[Prog, int] = {Empty(): 0}
     start = labels.setdefault(prog, 1)
+    # from a program in normal form every continuation is in normal form,
+    # and sequencing one onto a tail need not walk the tail again
+    join = _onto if normalize_program(prog) is prog else seq_of
     progs = list(labels)  # the program of each label
     steps: list = [None]
     cyclic = False
@@ -296,7 +302,7 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
         else:
             raise TypeError(f"not a program: {p!r}")
         for t in reversed(tails):
-            nexts = [seq_of(q, t) for q in nexts]
+            nexts = [join(q, t) for q in nexts]
         out = []
         for q in nexts:
             out.append(labels.setdefault(q, len(progs)))
@@ -304,6 +310,13 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
                 progs.append(q)
         steps.append(_transition(p, out, slot))
     return Compiled(names, start, steps, cyclic)
+
+
+def _onto(q: Prog, t: Prog) -> Prog:
+    """``seq_of(q, t)`` for programs in normal form, walking ``q`` only."""
+    if isinstance(q, Empty) or isinstance(t, Empty):
+        return t if isinstance(q, Empty) else q
+    return Seq(q.first, _onto(q.second, t)) if isinstance(q, Seq) else Seq(q, t)
 
 
 # --- bounded run exploration ----------------------------------------------------

@@ -22,109 +22,154 @@ flag variable::
     while !B && t = 0 do { C2; t := 1 }
 
 Fresh variables are spelled ``x_p1``, ``x_p2``, ... in ASCII.
+
+Nodes are interned (hash-consed): building a node equal to a live one
+returns that one, so equal terms are the same object and ``==`` and
+hashing are identity.  A loop's ``invariant`` annotation is part of its
+node; ``erase_invariants`` gives the bare program for comparisons that
+must ignore it.  Substitution, ``canon`` and the printers memoize on the
+node within one call, so a subterm shared many times over, as in an
+unrolled loop's formula, is handled once.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
 # --- abstract syntax ---------------------------------------------------
 
+# every live node, keyed on its class and fields (a constant's with the
+# type of its value, so that Const(1) and Const(True) stay apart); weak,
+# so a term nothing else holds is freed
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-class Expr:
+
+class _Node:
+    """Base of the nodes: building a node equal to a live one returns that
+    one (hash-consing; Filliâtre & Conchon, 2006)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            # let the dataclass bind keywords and defaults
+            node = object.__new__(cls)
+            cls._fill(node, *args, **kwargs)
+            args = tuple(getattr(node, f) for f in cls.__match_args__)
+        key = (cls, *args) if cls is not Const else (cls, *args, type(args[0]))
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = object.__new__(cls)
+            cls._fill(node, *args)
+        return node
+
+
+def _node(cls):
+    """A frozen dataclass compared and hashed by identity.  Its generated
+    ``__init__`` becomes ``_fill``, which ``_Node.__new__`` calls on new
+    nodes only (a metaclass would slow down every ``isinstance``)."""
+    cls = dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)(cls)
+    cls._fill = cls.__init__
+    del cls.__init__
+    return cls
+
+
+class Expr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class BinOp(Expr):
     op: str  # one of + - * / %
     left: Expr
     right: Expr
 
 
-class BoolExpr:
+class BoolExpr(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(BoolExpr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Le(BoolExpr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class BNot(BoolExpr):
     arg: BoolExpr
 
 
-@dataclass(frozen=True)
+@_node
 class BAnd(BoolExpr):
     left: BoolExpr
     right: BoolExpr
 
 
-@dataclass(frozen=True)
+@_node
 class BOr(BoolExpr):
     left: BoolExpr
     right: BoolExpr
 
 
-class Prog:
+class Prog(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Empty(Prog):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Assign(Prog):
     name: str
     expr: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Prog):
     first: Prog
     second: Prog
 
 
-@dataclass(frozen=True)
+@_node
 class While(Prog):
     guard: BoolExpr
     body: Prog
-    # Optional proof annotation; ignored by structural equality so that an
-    # annotated loop and its bare form are the same program.
-    invariant: "Assertion | None" = field(default=None, compare=False)
+    # Optional proof annotation.  It is part of the node, so an annotated
+    # loop and its bare form are different objects; compare programs
+    # through ``erase_invariants`` where annotations must not count.
+    invariant: "Assertion | None" = None
 
 
-@dataclass(frozen=True)
+@_node
 class Choice(Prog):
     left: Prog
     right: Prog
 
 
-@dataclass(frozen=True)
+@_node
 class IfSugar(Prog):
     """Parser-internal conditional; compiled away by ``parse_program``."""
 
@@ -133,45 +178,45 @@ class IfSugar(Prog):
     orelse: Prog
 
 
-class Assertion:
+class Assertion(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Bool(Assertion):
     expr: BoolExpr
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Assertion):
     arg: Assertion
 
 
-@dataclass(frozen=True)
+@_node
 class And(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Assertion):
     left: Assertion
     right: Assertion
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Assertion):
     var: str
     body: Assertion
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Assertion):
     var: str
     body: Assertion
@@ -281,33 +326,52 @@ def fresh_var(avoid: Iterable[str], hint: str) -> str:
     return f"{base}_p{k}"
 
 
+def _substitution(mapping: dict[str, Expr]):
+    """Simultaneous capture-avoiding substitution of ``mapping`` over
+    expressions, guards and assertions, memoized on the node."""
+    memo: dict = {}
+
+    def go(t):
+        out = memo.get(t)
+        if out is not None:
+            return out
+        if isinstance(t, Var):
+            out = mapping.get(t.name, t)
+        elif isinstance(t, Const):
+            out = t
+        elif isinstance(t, BinOp):
+            out = BinOp(t.op, go(t.left), go(t.right))
+        elif isinstance(t, (Eq, Le, BAnd, BOr, And, Or, Implies)):
+            out = type(t)(go(t.left), go(t.right))
+        elif isinstance(t, (BNot, Not)):
+            out = type(t)(go(t.arg))
+        elif isinstance(t, Bool):
+            out = Bool(go(t.expr))
+        elif isinstance(t, (Exists, Forall)):
+            body_free = free_vars(t.body)
+            inner = {k: v for k, v in mapping.items() if k != t.var and k in body_free}
+            out = t
+            if inner:
+                var, body = t.var, t.body
+                cap = frozenset().union(*(expr_vars(v) for v in inner.values()))
+                if var in cap:
+                    var = fresh_var(cap | body_free | set(inner), var)
+                    body = _substitution({t.var: Var(var)})(body)
+                out = type(t)(var, _substitution(inner)(body))
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        memo[t] = out
+        return out
+
+    return go
+
+
 def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    if isinstance(e, Var):
-        return mapping.get(e.name, e)
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, BinOp):
-        return BinOp(e.op, subst_expr(e.left, mapping), subst_expr(e.right, mapping))
-    raise TypeError(f"not an expression: {e!r}")
+    return _substitution(mapping)(e)
 
 
 def subst_bool(b: BoolExpr, pairs: Sequence[tuple[str, Expr]]) -> BoolExpr:
-    mapping = dict(pairs)
-
-    def go(b: BoolExpr) -> BoolExpr:
-        if isinstance(b, Eq):
-            return Eq(subst_expr(b.left, mapping), subst_expr(b.right, mapping))
-        if isinstance(b, Le):
-            return Le(subst_expr(b.left, mapping), subst_expr(b.right, mapping))
-        if isinstance(b, BNot):
-            return BNot(go(b.arg))
-        if isinstance(b, BAnd):
-            return BAnd(go(b.left), go(b.right))
-        if isinstance(b, BOr):
-            return BOr(go(b.left), go(b.right))
-        raise TypeError(f"not a boolean expression: {b!r}")
-
-    return go(b)
+    return _substitution(dict(pairs))(b)
 
 
 def subst(a: Assertion, pairs: Sequence[tuple[str, Expr]]) -> Assertion:
@@ -318,36 +382,8 @@ def subst(a: Assertion, pairs: Sequence[tuple[str, Expr]]) -> Assertion:
     expression is renamed with ``fresh_var`` first, e.g.
     ``subst(exists x. x = y, [(y, x)])`` yields ``exists x_p1. x_p1 = x``.
     """
-
-    def go(a: Assertion, mapping: dict[str, Expr]) -> Assertion:
-        if not mapping:
-            return a
-        if isinstance(a, Bool):
-            return Bool(subst_bool(a.expr, list(mapping.items())))
-        if isinstance(a, Not):
-            return Not(go(a.arg, mapping))
-        if isinstance(a, And):
-            return And(go(a.left, mapping), go(a.right, mapping))
-        if isinstance(a, Or):
-            return Or(go(a.left, mapping), go(a.right, mapping))
-        if isinstance(a, Implies):
-            return Implies(go(a.left, mapping), go(a.right, mapping))
-        if isinstance(a, (Exists, Forall)):
-            cls = type(a)
-            body_free = free_vars(a.body)
-            inner = {k: v for k, v in mapping.items() if k != a.var and k in body_free}
-            if not inner:
-                return a
-            var = a.var
-            body = a.body
-            cap = frozenset().union(*(expr_vars(v) for v in inner.values()))
-            if var in cap:
-                var = fresh_var(cap | body_free | set(inner), var)
-                body = go(body, {a.var: Var(var)})
-            return cls(var, go(body, inner))
-        raise TypeError(f"not an assertion: {a!r}")
-
-    return go(a, dict(pairs))
+    mapping = dict(pairs)
+    return _substitution(mapping)(a) if mapping else a
 
 
 def alpha_rename(a: Assertion) -> Assertion:
@@ -386,30 +422,31 @@ def canon(a: Assertion) -> Assertion:
     quantifier-free assertion has exactly one shape.  ``Not(Bool(b))``
     becomes ``Bool(BNot(b))`` and likewise for and/or; implication has no
     boolean counterpart and stays at the assertion level."""
-    if isinstance(a, Bool):
-        return a
-    if isinstance(a, Not):
-        arg = canon(a.arg)
-        if isinstance(arg, Bool):
-            return Bool(BNot(arg.expr))
-        return Not(arg)
-    if isinstance(a, And):
-        l, r = canon(a.left), canon(a.right)
-        if isinstance(l, Bool) and isinstance(r, Bool):
-            return Bool(BAnd(l.expr, r.expr))
-        return And(l, r)
-    if isinstance(a, Or):
-        l, r = canon(a.left), canon(a.right)
-        if isinstance(l, Bool) and isinstance(r, Bool):
-            return Bool(BOr(l.expr, r.expr))
-        return Or(l, r)
-    if isinstance(a, Implies):
-        return Implies(canon(a.left), canon(a.right))
-    if isinstance(a, Exists):
-        return Exists(a.var, canon(a.body))
-    if isinstance(a, Forall):
-        return Forall(a.var, canon(a.body))
-    raise TypeError(f"not an assertion: {a!r}")
+    memo: dict[Assertion, Assertion] = {}
+
+    def go(a: Assertion) -> Assertion:
+        if isinstance(a, Bool):
+            return a
+        out = memo.get(a)
+        if out is not None:
+            return out
+        if isinstance(a, Not):
+            arg = go(a.arg)
+            out = Bool(BNot(arg.expr)) if isinstance(arg, Bool) else Not(arg)
+        elif isinstance(a, (And, Or)):
+            l, r = go(a.left), go(a.right)
+            packed = BAnd if isinstance(a, And) else BOr
+            out = Bool(packed(l.expr, r.expr)) if isinstance(l, Bool) and isinstance(r, Bool) else type(a)(l, r)
+        elif isinstance(a, Implies):
+            out = Implies(go(a.left), go(a.right))
+        elif isinstance(a, (Exists, Forall)):
+            out = type(a)(a.var, go(a.body))
+        else:
+            raise TypeError(f"not an assertion: {a!r}")
+        memo[a] = out
+        return out
+
+    return go(a)
 
 
 # --- program normal form ------------------------------------------------
@@ -446,6 +483,18 @@ def normalize_program(p: Prog) -> Prog:
     for unit in reversed(acc[:-1]):
         out = Seq(unit, out)
     return out
+
+
+def erase_invariants(p: Prog) -> Prog:
+    """The program with every loop annotation dropped: the form in which
+    to compare programs when annotations must not count."""
+    if isinstance(p, Seq):
+        return Seq(erase_invariants(p.first), erase_invariants(p.second))
+    if isinstance(p, Choice):
+        return Choice(erase_invariants(p.left), erase_invariants(p.right))
+    if isinstance(p, While):
+        return While(p.guard, erase_invariants(p.body))
+    return p
 
 
 class EmptyProgramError(Exception):
@@ -830,62 +879,60 @@ _EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
 _IMP, _OR, _AND = 1, 2, 3
 
 
+def _show(t, parent: int, memo: dict) -> str:
+    """Text of an expression, guard or assertion inside an operator of
+    precedence ``parent``, memoized on (node, parent)."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return str(t.value)
+    key = (t, parent)
+    s = memo.get(key)
+    if s is not None:
+        return s
+    if isinstance(t, BinOp):
+        prec = _EXPR_PREC[t.op]
+        s = f"{_show(t.left, prec, memo)} {t.op} {_show(t.right, prec + 1, memo)}"
+        s = f"({s})" if prec < parent else s
+    elif t is TRUE_BOOL or t is FALSE_BOOL:
+        s = "true" if t is TRUE_BOOL else "false"
+    elif isinstance(t, (Eq, Le)):
+        s = f"{_show(t.left, 0, memo)} {'=' if isinstance(t, Eq) else '<='} {_show(t.right, 0, memo)}"
+    elif isinstance(t, BNot) and isinstance(t.arg, Eq):
+        s = f"{_show(t.arg.left, 0, memo)} != {_show(t.arg.right, 0, memo)}"
+    elif isinstance(t, BNot) and isinstance(t.arg, Le):
+        # !(a <= b) is b < a; < is the more common guard, keep it stable
+        s = f"{_show(t.arg.right, 0, memo)} < {_show(t.arg.left, 0, memo)}"
+    elif isinstance(t, (BNot, Not)):
+        s = f"!({_show(t.arg, 0, memo)})"
+    elif isinstance(t, Bool):
+        s = _show(t.expr, parent, memo)
+    elif isinstance(t, (BAnd, And, BOr, Or)):
+        prec, op = (_AND, "&&") if isinstance(t, (BAnd, And)) else (_OR, "||")
+        s = f"{_show(t.left, prec, memo)} {op} {_show(t.right, prec + 1, memo)}"
+        s = f"({s})" if prec < parent else s
+    elif isinstance(t, Implies):
+        s = f"{_show(t.left, _IMP + 1, memo)} -> {_show(t.right, _IMP, memo)}"
+        s = f"({s})" if _IMP < parent else s
+    elif isinstance(t, (Exists, Forall)):
+        s = f"{'exists' if isinstance(t, Exists) else 'forall'} {t.var}. {_show(t.body, 0, memo)}"
+        s = f"({s})" if parent > 0 else s
+    else:
+        raise TypeError(f"not a printable term: {t!r}")
+    memo[key] = s
+    return s
+
+
 def print_expr(e: Expr, parent: int = 0) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Const):
-        return str(e.value)
-    if isinstance(e, BinOp):
-        prec = _EXPR_PREC[e.op]
-        s = f"{print_expr(e.left, prec)} {e.op} {print_expr(e.right, prec + 1)}"
-        return f"({s})" if prec < parent else s
-    raise TypeError(f"not an expression: {e!r}")
+    return _show(e, parent, {})
 
 
 def print_bool(b: BoolExpr, parent: int = 0) -> str:
-    if b == TRUE_BOOL:
-        return "true"
-    if b == FALSE_BOOL:
-        return "false"
-    if isinstance(b, Eq):
-        return f"{print_expr(b.left)} = {print_expr(b.right)}"
-    if isinstance(b, Le):
-        return f"{print_expr(b.left)} <= {print_expr(b.right)}"
-    if isinstance(b, BNot):
-        if isinstance(b.arg, Eq):
-            return f"{print_expr(b.arg.left)} != {print_expr(b.arg.right)}"
-        if isinstance(b.arg, Le):
-            # !(a <= b) is b < a; < is the more common guard, keep it stable
-            return f"{print_expr(b.arg.right)} < {print_expr(b.arg.left)}"
-        return f"!({print_bool(b.arg)})"
-    if isinstance(b, BAnd):
-        s = f"{print_bool(b.left, _AND)} && {print_bool(b.right, _AND + 1)}"
-        return f"({s})" if _AND < parent else s
-    if isinstance(b, BOr):
-        s = f"{print_bool(b.left, _OR)} || {print_bool(b.right, _OR + 1)}"
-        return f"({s})" if _OR < parent else s
-    raise TypeError(f"not a boolean expression: {b!r}")
+    return _show(b, parent, {})
 
 
 def print_assertion(a: Assertion, parent: int = 0) -> str:
-    if isinstance(a, Bool):
-        return print_bool(a.expr, parent)
-    if isinstance(a, Not):
-        return f"!({print_assertion(a.arg)})"
-    if isinstance(a, And):
-        s = f"{print_assertion(a.left, _AND)} && {print_assertion(a.right, _AND + 1)}"
-        return f"({s})" if _AND < parent else s
-    if isinstance(a, Or):
-        s = f"{print_assertion(a.left, _OR)} || {print_assertion(a.right, _OR + 1)}"
-        return f"({s})" if _OR < parent else s
-    if isinstance(a, Implies):
-        s = f"{print_assertion(a.left, _IMP + 1)} -> {print_assertion(a.right, _IMP)}"
-        return f"({s})" if _IMP < parent else s
-    if isinstance(a, (Exists, Forall)):
-        kw = "exists" if isinstance(a, Exists) else "forall"
-        s = f"{kw} {a.var}. {print_assertion(a.body)}"
-        return f"({s})" if parent > 0 else s
-    raise TypeError(f"not an assertion: {a!r}")
+    return _show(a, parent, {})
 
 
 def print_program(p: Prog) -> str:

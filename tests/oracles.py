@@ -1,9 +1,10 @@
 """Reference implementations and generators shared by the test suite.
 
 Computations the library performs by compiled small-step BFS, closures
-over store tuples, formula construction, or induced-subgraph analysis are
-reproduced here by structurally different means (tree-rewriting small
-steps, tree-walking evaluation over ``State``, denotational recursion,
+over store tuples, memoized walks over shared terms, formula
+construction, or induced-subgraph analysis are reproduced here by
+structurally different means (tree-rewriting small steps, tree-walking
+evaluation over ``State`` and substitution, denotational recursion,
 streak-tracking path unrolling) so the two sides can be compared on
 random inputs.
 """
@@ -38,7 +39,9 @@ from prhl.syntax import (
     Seq,
     Var,
     While,
+    expr_vars,
     free_vars,
+    fresh_var,
     parse_program,
     prog_vars,
     seq_of,
@@ -48,6 +51,41 @@ from prhl.syntax import (
 def parse_bool_expr(text: str):
     """A guard on its own, read through the program parser."""
     return parse_program(f"while {text} do {{ skip }}").guard
+
+
+# --- substitution by walking the tree -----------------------------------------
+
+
+def subst_ref(t, pairs):
+    """Simultaneous capture-avoiding substitution into an expression,
+    guard or assertion, rebuilding every node on every path (no memo).
+    A binder that would capture a substituted expression is renamed
+    with ``fresh_var`` first."""
+    mapping = dict(pairs)
+    if not mapping or isinstance(t, Const):
+        return t
+    if isinstance(t, Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, BinOp):
+        return BinOp(t.op, subst_ref(t.left, pairs), subst_ref(t.right, pairs))
+    if isinstance(t, (Eq, Le, BAnd, BOr, And, Or, Implies)):
+        return type(t)(subst_ref(t.left, pairs), subst_ref(t.right, pairs))
+    if isinstance(t, (BNot, Not)):
+        return type(t)(subst_ref(t.arg, pairs))
+    if isinstance(t, Bool):
+        return Bool(subst_ref(t.expr, pairs))
+    if isinstance(t, (Exists, Forall)):
+        body_free = free_vars(t.body)
+        inner = [(k, v) for k, v in mapping.items() if k != t.var and k in body_free]
+        if not inner:
+            return t
+        var, body = t.var, t.body
+        cap = set().union(*(expr_vars(v) for _, v in inner))
+        if var in cap:
+            var = fresh_var(cap | body_free | {k for k, _ in inner}, var)
+            body = subst_ref(body, [(t.var, Var(var))])
+        return type(t)(var, subst_ref(body, inner))
+    raise TypeError(f"not a term: {t!r}")
 
 
 # --- evaluation by walking the tree over State ----------------------------------

@@ -1,12 +1,17 @@
 """Command-line interface: outputs, exit codes, bounds plumbing."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
+from oracles import run_all_ref
+from prhl import cli
 from prhl.cli import main, read_triple_file
 from prhl.certificates import parse_proof
+from prhl.semantics import State
+from prhl.syntax import parse_program
 
 
 def write(tmp_path, name, text):
@@ -59,13 +64,25 @@ def test_run_join_is_not_a_cycle(tmp_path, capsys):
     assert capsys.readouterr().out == "{x: 0}\n"
 
 
-def test_run_crash_exits_3_without_traceback(tmp_path, capsys):
-    # deep enough to overflow the interpreter stack
-    long = write(tmp_path, "long.while", ";\n".join(f"x := x + {k % 4}" for k in range(650)))
-    assert main(["run", long]) == 3
+def test_run_crash_exits_3_without_traceback(prog_file, capsys, monkeypatch):
+    def crash(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "run_all", crash)
+    assert main(["run", prog_file]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error: RecursionError")
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
     assert "Traceback" not in err
+
+
+def test_run_long_straight_line_program(tmp_path, capsys):
+    text = ";\n".join(f"x := x + {k % 4}" for k in range(650))
+    assert main(["run", write(tmp_path, "long.while", text), "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ref = run_all_ref(parse_program(text), State(), 10000)
+    finals = sorted(ref.finals.items(), key=lambda item: item[0].sort_key())
+    assert doc["finals"] == [{"state": {"x": s.get("x")}, "steps": n} for s, n in finals]
+    assert (doc["truncated"], doc["exhausted"]) == (ref.truncated, ref.exhausted) == (False, False)
 
 
 def test_run_rejects_bad_state_binding(prog_file, capsys):
@@ -194,6 +211,32 @@ def test_check_proof_machine_report(capsys):
     assert doc["nodes"]["n2"]["status"] == "ok"
 
 
+def _drop_annotation(path, nid):
+    """The certificate at ``path`` with the loop annotation of node
+    ``nid``'s program removed."""
+    doc = json.loads(Path(path).read_text())
+    triple = doc["nodes"][nid]["triple"]
+    assert " invariant true do" in triple["prog"]
+    triple["prog"] = triple["prog"].replace(" invariant true do", " do")
+    Path(path).write_text(json.dumps(doc))
+
+
+def test_check_proof_program_comparison_ignores_annotations(tmp_path, capsys):
+    cert, cyc = str(tmp_path / "ex3a.json"), str(tmp_path / "ex3a.cyclic.json")
+    assert main(["prove", "corpus/ex3_annotated.triple", "--loop-mode", "invariant-annotations", "-o", cert]) == 0
+    assert main(["transform", cert, "-o", cyc]) == 0
+    capsys.readouterr()
+    # n1 is a Cons whose premise n2 states the loop without its annotation
+    _drop_annotation(cert, "n2")
+    assert main(["check-proof", cert]) == 0
+    assert capsys.readouterr().out == "ACCEPT (bounded: none)\n"
+    # the open leaf c9 and its companion c2 differ only by the annotation
+    assert parse_proof(Path(cyc).read_text()).backlinks == {"c9": "c2"}
+    _drop_annotation(cyc, "c9")
+    assert main(["check-proof", cyc]) == 0
+    assert capsys.readouterr().out == "ACCEPT (bounded: none)\n"
+
+
 def _axiom_certificate(**changes):
     triple = {"pre": "true", "prog": "skip", "post": "true"}
     node = {"rule": "Axiom", "triple": triple, "children": []}
@@ -286,6 +329,27 @@ def test_wp_unroll_notes(tmp_path, capsys):
     assert "note: loop unrolled 2 times; under-approximate" in capsys.readouterr().out
     assert main(["wp", t, "--loop-mode", "invariant"]) == 3
     assert "loop has no invariant annotation" in capsys.readouterr().err
+
+
+WP_GOLDEN = json.loads((Path(__file__).parent / "golden" / "wp_unroll_machine.json").read_text())
+# a loop like the deep benchmark's: the choice in its body doubles the
+# printed formula at every unroll level
+CHOICE_LOOP = "pre: true\nprog: while i < 8 do { (x := x + 2 + skip); i := i + 1 }\npost: 3 < x\n"
+
+
+@pytest.mark.parametrize("case", sorted(WP_GOLDEN))
+def test_wp_unroll_machine_golden(case, tmp_path, capsys):
+    if case.startswith("choice-loop depth "):
+        path, depth = write(tmp_path, "choice.triple", CHOICE_LOOP), case.split()[-1]
+    else:
+        path, depth = f"corpus/{case}", "8"
+    code = main(["wp", path, "--loop-mode", "unroll", "--unroll-depth", depth, "--format", "machine"])
+    out = capsys.readouterr().out.encode()
+    want = WP_GOLDEN[case]
+    if "stdout" in want:
+        assert (code, out.decode()) == (want["exit"], want["stdout"])
+    else:
+        assert (code, len(out), hashlib.sha256(out).hexdigest()) == (want["exit"], want["bytes"], want["sha256"])
 
 
 def test_beta_encode(capsys):

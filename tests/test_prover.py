@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, gen_prog, unroll_global_ok
+from oracles import gen_prog, unroll_global_ok
 from prhl.assertions import BoundedOracle
 from prhl.certificates import Triple, parse_proof, serialize_proof
 from prhl.checker import check_cprhl, check_prhl, global_soundness

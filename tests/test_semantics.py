@@ -301,6 +301,9 @@ def test_compile_program_labels():
     c = compile_program(parse_program("while i < 5 do { x := x + i; i := i + 1 }"), ["i", "x"])
     assert len(c.steps) == 4 and c.cyclic
     assert not compile_program(parse_program("x := 1 + x := 2; x := 0"), ["x"]).cyclic
+    # a loop's annotation does not make it another continuation
+    both = parse_program("(while i < 2 invariant true do { i := i + 1 }) + (while i < 2 do { i := i + 1 })")
+    assert len(compile_program(both, ["i"]).steps) == 4
     with pytest.raises(KeyError):
         compile_program(parse_program("x := y"), ["x"])
     with pytest.raises(ValueError):

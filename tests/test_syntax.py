@@ -1,16 +1,16 @@
 """Parser, printers, substitution, and normal forms."""
 
 import random
+import weakref
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, eval_expr, gen_assertion, gen_expr, gen_prog, gen_state
+from oracles import assert_holds, eval_expr, gen_assertion, gen_expr, gen_prog, gen_state, subst_ref
 from prhl.assertions import eval_assertion
-from prhl.semantics import State
 from prhl.syntax import (
-    And,
     Assign,
     BinOp,
     Bool,
@@ -20,7 +20,6 @@ from prhl.syntax import (
     EmptyProgramError,
     Eq,
     Exists,
-    Forall,
     Le,
     ParseError,
     Seq,
@@ -30,6 +29,7 @@ from prhl.syntax import (
     assertion_vars,
     canon,
     decompose_head,
+    erase_invariants,
     free_vars,
     fresh_var,
     normalize_program,
@@ -229,3 +229,50 @@ def test_vars_helpers():
     a = parse_assertion("exists x. x = z")
     assert free_vars(a) == frozenset({"z"})
     assert assertion_vars(a) == frozenset({"x", "z"})
+
+
+# --- interned nodes ---------------------------------------------------------------
+
+
+def subterms(t) -> list:
+    """Every node of a term, each distinct object once."""
+    seen, stack = {}, [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            stack.extend(v for f in fields(u) if is_dataclass(v := getattr(u, f.name)))
+    return list(seen.values())
+
+
+def test_equal_nodes_are_one_object():
+    assert BinOp("+", Var("x"), Const(1)) is BinOp(op="+", left=Var("x"), right=Const(1))
+    assert Const(True) is not Const(1) and Const(True).value is True
+    assert While(Le(Var("i"), Const(3)), Empty()) is While(Le(Var("i"), Const(3)), Empty(), None)
+    # a node nothing holds is not kept alive by the table
+    ref = weakref.ref(Var("only_here"))
+    assert ref() is None
+
+
+def test_annotated_loop_is_its_own_node():
+    bare = parse_program("while i < 5 do { i := i + 1 }")
+    annotated = parse_program("while i < 5 invariant i <= 5 do { i := i + 1 }")
+    assert annotated is not bare and annotated.invariant is not None
+    assert erase_invariants(annotated) is bare
+    assert erase_invariants(seq_of(annotated, Choice(annotated, Empty()))) is seq_of(bare, Choice(bare, Empty()))
+
+
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_interned_terms_rebuild_parse_and_substitute(seed):
+    rng = random.Random(seed)
+    a = gen_assertion(rng, NAMES, 4, quant=True)
+    p = gen_prog(rng, NAMES, 4)
+    for t in subterms(a) + subterms(p):
+        assert type(t)(**{f.name: getattr(t, f.name) for f in fields(t)}) is t
+    canonical = parse_assertion(print_assertion(a))
+    assert parse_assertion(print_assertion(canonical)) is canonical
+    # simultaneous, and often capturing: both names are also bound in a
+    pairs = [(rng.choice(NAMES), gen_expr(rng, NAMES, 2)), (rng.choice(NAMES), Var(rng.choice(NAMES)))]
+    assert subst(a, pairs) is subst_ref(a, pairs)
+    assert subst(canonical, pairs[:1]) is subst_ref(canonical, pairs[:1])

@@ -1,6 +1,7 @@
 """Weakest pre-condition formulas and the modulus sequence coding."""
 
 import random
+from dataclasses import fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from prhl.wp import (
     MissingInvariantError,
     SearchExhausted,
     WprRequest,
-    WprResult,
     beta,
     encode_sequence,
     wpr_formula,
@@ -84,6 +84,20 @@ def test_unroll_mode_is_flagged_under_approximation():
     r = wpr_formula(WprRequest(pp(LOOP), pa("x = 1"), loop_mode="unroll", unroll_depth=2))
     assert not r.exact
     assert r.notes == ("loop unrolled 2 times; under-approximate",)
+
+
+def test_unroll_formula_shares_its_subterms():
+    # the printed formula doubles at every level (4.2 MB at depth 14);
+    # its distinct subterms grow by a few dozen per level
+    prog = pp("while i < 8 do { (x := x + 2 + skip); i := i + 1 }")
+    r = wpr_formula(WprRequest(prog, pa("3 < x"), loop_mode="unroll", unroll_depth=14))
+    seen, stack = set(), [r.formula]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(v for f in fields(t) if is_dataclass(v := getattr(t, f.name)))
+    assert len(seen) < 2000
 
 
 def test_invariant_mode_uses_annotation():

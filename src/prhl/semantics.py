@@ -61,7 +61,6 @@ from .syntax import (
     assertion_vars,
     erase_invariants,
     free_vars,
-    normalize_program,
     prog_vars,
     seq_of,
 )
@@ -277,14 +276,16 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
     prog = erase_invariants(prog)
     labels: dict[Prog, int] = {Empty(): 0}
     start = labels.setdefault(prog, 1)
-    # from a program in normal form every continuation is in normal form,
-    # and sequencing one onto a tail need not walk the tail again
-    join = _onto if normalize_program(prog) is prog else seq_of
     progs = list(labels)  # the program of each label
+    # labels known to be in normal form: what seq_of built, and every
+    # continuation of one; _onto sequences those onto their tails without
+    # walking the tails again, seq_of the rest (the input may be raw)
+    normal = {Empty()}
     steps: list = [None]
     cyclic = False
     while len(steps) < len(progs):
         p, tails = progs[len(steps)], []
+        join = _onto if p in normal else seq_of
         while isinstance(p, Seq) and not isinstance(p.first, Empty):
             tails.append(p.second)
             p = p.first
@@ -308,6 +309,8 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
             out.append(labels.setdefault(q, len(progs)))
             if out[-1] == len(progs):
                 progs.append(q)
+                if join is _onto or tails:
+                    normal.add(q)
         steps.append(_transition(p, out, slot))
     return Compiled(names, start, steps, cyclic)
 

@@ -52,7 +52,7 @@ class _Node:
     """Base of the nodes: building a node equal to a live one returns that
     one (hash-consing; Filliâtre & Conchon, 2006)."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)  # for the weak table
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):
@@ -72,7 +72,7 @@ def _node(cls):
     """A frozen dataclass compared and hashed by identity.  Its generated
     ``__init__`` becomes ``_fill``, which ``_Node.__new__`` calls on new
     nodes only (a metaclass would slow down every ``isinstance``)."""
-    cls = dataclass(frozen=True, eq=False, slots=True, weakref_slot=True)(cls)
+    cls = dataclass(frozen=True, eq=False, slots=True)(cls)
     cls._fill = cls.__init__
     del cls.__init__
     return cls

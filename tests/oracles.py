@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from prhl.certificates import CyclicPreProof, ProofNode, Triple
@@ -51,6 +52,21 @@ from prhl.syntax import (
 def parse_bool_expr(text: str):
     """A guard on its own, read through the program parser."""
     return parse_program(f"while {text} do {{ skip }}").guard
+
+
+# --- terms as trees and as shared graphs ---------------------------------------
+
+
+def subterms(t) -> list:
+    """Every node of a term, each distinct object once (a walk over the
+    term's graph, not its tree)."""
+    seen, stack = {}, [t]
+    while stack:
+        u = stack.pop()
+        if id(u) not in seen:
+            seen[id(u)] = u
+            stack.extend(v for f in fields(u) if is_dataclass(v := getattr(u, f.name)))
+    return list(seen.values())
 
 
 # --- substitution by walking the tree -----------------------------------------

@@ -2,13 +2,13 @@
 
 import random
 import weakref
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, eval_expr, gen_assertion, gen_expr, gen_prog, gen_state, subst_ref
+from oracles import assert_holds, eval_expr, gen_assertion, gen_expr, gen_prog, gen_state, subst_ref, subterms
 from prhl.assertions import eval_assertion
 from prhl.syntax import (
     Assign,
@@ -232,17 +232,6 @@ def test_vars_helpers():
 
 
 # --- interned nodes ---------------------------------------------------------------
-
-
-def subterms(t) -> list:
-    """Every node of a term, each distinct object once."""
-    seen, stack = {}, [t]
-    while stack:
-        u = stack.pop()
-        if id(u) not in seen:
-            seen[id(u)] = u
-            stack.extend(v for f in fields(u) if is_dataclass(v := getattr(u, f.name)))
-    return list(seen.values())
 
 
 def test_equal_nodes_are_one_object():

@@ -1,9 +1,12 @@
 """Local rule checking and the global soundness condition."""
 
+import pytest
+
 from prhl.assertions import BoundedOracle
 from prhl.certificates import (
     CyclicPreProof,
     PrhlNode,
+    PrhlProof,
     ProofNode,
     Triple,
     parse_proof,
@@ -284,3 +287,126 @@ def test_global_accepts_progress_guarded_cycle():
         {"c3": "c1"},
     )
     assert global_soundness(proof) == ("ok", ())
+
+
+# --- every rule-mismatch message ------------------------------------------------------
+
+# valid certificates, one per rule shape: node id -> (rule, pre, prog, post, children, fresh)
+_VALID = {
+    "cons": {
+        "n1": ("Cons", "x <= 1", "skip", "x = 1", ("n2",), None),
+        "n2": ("Axiom", "x = 1", "skip", "x = 1", (), None),
+    },
+    "seq": {
+        "n1": ("Seq", "x + 1 = 2", "x := x + 1; x := x", "x = 2", ("n2", "n3"), None),
+        "n2": ("Assign", "x + 1 = 2", "x := x + 1", "x = 2", (), None),
+        "n3": ("Assign", "x = 2", "x := x", "x = 2", (), None),
+    },
+    "or": {
+        "n1": ("Or", "y = 1", "x := 0 + x := 1", "y = 1", ("n2", "n3"), None),
+        "n2": ("Assign", "y = 1", "x := 0", "y = 1", (), None),
+        "n3": ("Assign", "y = 1", "x := 1", "y = 1", (), None),
+    },
+    "while": {
+        "n1": ("While", "y = 1", "while x = 0 do { x := x + 1 }", "x != 0 -> y = 1", ("n2",), None),
+        "n2": ("Cons", "x = 0 -> y = 1", "x := x + 1", "y = 1", ("n3",), None),
+        "n3": ("Assign", "y = 1", "x := x + 1", "y = 1", (), None),
+    },
+    "assign-subst": {
+        "n1": ("AssignSubst", "x + 1 = 1", "x := x + 1; y := 0", "x = 1", ("n2",), None),
+        "n2": ("OpenLeaf", "x = 1", "y := 0", "x = 1", (), None),
+    },
+    "assign-fresh": {
+        "n1": ("AssignFresh", "x = 1", "x := x + 1; y := 0", "x = 2", ("n2",), "x_p1"),
+        "n2": ("OpenLeaf", "x = x_p1 + 1 && x_p1 = 1", "y := 0", "x = 2", (), None),
+    },
+    "cyclic-or": {
+        "n1": ("Or", "y = 1", "(x := 0 + x := 1); y := 0", "y = 0", ("n2", "n3"), None),
+        "n2": ("OpenLeaf", "y = 1", "x := 0; y := 0", "y = 0", (), None),
+        "n3": ("OpenLeaf", "y = 1", "x := 1; y := 0", "y = 0", (), None),
+    },
+    "cyclic-while": {
+        "n1": ("While", "y = 1", "while x = 0 do { x := 1 }; y := 0", "y = 0", ("n2", "n3"), None),
+        "n2": ("OpenLeaf", "x != 0 -> y = 1", "y := 0", "y = 0", (), None),
+        "n3": ("OpenLeaf", "x = 0 -> y = 1", "x := 1; while x = 0 do { x := 1 }; y := 0", "y = 0", (), None),
+    },
+}
+
+
+def _certificate(system, base, change=None):
+    """The valid certificate ``base``, with one field of one node
+    replaced when ``change`` = (node id, field, value) is given."""
+    nodes = {}
+    for nid, (rule, pre, prog, post, kids, fresh) in _VALID[base].items():
+        fields = {"rule": rule, "pre": pre, "prog": prog, "post": post, "fresh": fresh}
+        if change is not None and change[0] == nid:
+            fields[change[1]] = change[2]
+        t = triple(fields["pre"], fields["prog"], fields["post"])
+        nodes[nid] = ProofNode(fields["rule"], t, kids, fields["fresh"])
+    return PrhlProof("n1", nodes) if system == "prhl" else CyclicPreProof("n1", nodes, {})
+
+
+def _check(system, proof):
+    return check_prhl(proof, bounds=B) if system == "prhl" else check_cprhl(proof, bounds=B)
+
+
+# (system, valid certificate, (node, field, new value), node reporting, detail)
+MISMATCHES = [
+    *(
+        case
+        for system in ("prhl", "cprhl")
+        for case in (
+            (system, "cons", ("n2", "prog", "x := 1"), "n2", "Axiom concludes the empty program"),
+            (system, "cons", ("n2", "post", "x = 2"), "n2", "Axiom pre and post must match"),
+            (system, "cons", ("n2", "prog", "x := x"), "n1", "Cons premise must share the conclusion program"),
+        )
+    ),
+    ("prhl", "seq", ("n2", "prog", "skip"), "n2", "Assign concludes a single assignment"),
+    ("prhl", "seq", ("n2", "pre", "x = 1"), "n2", "Assign pre should be x + 1 = 2"),
+    ("prhl", "seq", ("n1", "prog", "x := x; x := x + 1"), "n1", "premise programs do not compose to the conclusion"),
+    ("prhl", "seq", ("n1", "pre", "x = 1"), "n1", "left premise pre differs from conclusion pre"),
+    ("prhl", "seq", ("n1", "post", "x = 3"), "n1", "right premise post differs from conclusion post"),
+    ("prhl", "seq", ("n2", "post", "x = 3"), "n1", "middle assertions differ: x = 3 vs x = 2"),
+    ("prhl", "or", ("n1", "prog", "x := 0"), "n1", "Or concludes a choice program"),
+    ("prhl", "or", ("n2", "prog", "x := 2"), "n1", "premise programs are not the two branches"),
+    ("prhl", "or", ("n3", "post", "y = 2"), "n1", "Or premises must share pre and post"),
+    ("prhl", "while", ("n1", "prog", "x := x + 1"), "n1", "While concludes a loop"),
+    ("prhl", "while", ("n2", "prog", "x := x + 2"), "n1", "premise program must be the loop body"),
+    ("prhl", "while", ("n2", "pre", "y = 1"), "n1", "premise pre should be guard -> conclusion pre"),
+    ("prhl", "while", ("n2", "post", "y = 2"), "n1", "premise post should be the conclusion pre"),
+    ("prhl", "while", ("n1", "post", "y = 1"), "n1", "conclusion post should be !guard -> pre"),
+    ("cprhl", "assign-subst", ("n1", "prog", "skip"), "n1", "AssignSubst needs a program step to consume"),
+    ("cprhl", "assign-subst", ("n1", "prog", "(x := 1 + x := 2); y := 0"), "n1", "AssignSubst concludes an assignment-headed program"),
+    ("cprhl", "assign-subst", ("n2", "prog", "y := 1"), "n1", "premise program must be the continuation"),
+    ("cprhl", "assign-subst", ("n2", "post", "x = 2"), "n1", "premise must share the conclusion post"),
+    ("cprhl", "assign-subst", ("n1", "pre", "x = 1"), "n1", "conclusion pre should be x + 1 = 1"),
+    ("cprhl", "assign-fresh", ("n1", "prog", "while x = 0 do { x := 1 }; y := 0"), "n1", "AssignFresh concludes an assignment-headed program"),
+    ("cprhl", "assign-fresh", ("n1", "fresh", None), "n1", "AssignFresh needs a fresh variable name"),
+    ("cprhl", "assign-fresh", ("n1", "fresh", "y"), "n1", "y is not fresh for the conclusion"),
+    ("cprhl", "assign-fresh", ("n2", "pre", "x_p1 = 1"), "n1", "premise pre should be x = x_p1 + 1 && x_p1 = 1"),
+    ("cprhl", "cyclic-or", ("n1", "prog", "x := 0; y := 0"), "n1", "Or concludes a choice-headed program"),
+    ("cprhl", "cyclic-or", ("n1", "prog", "skip"), "n1", "Or needs a program step to consume"),
+    ("cprhl", "cyclic-or", ("n3", "prog", "x := 1"), "n1", "premise program must be branch; continuation"),
+    ("cprhl", "cyclic-or", ("n2", "pre", "y = 2"), "n1", "Or premises must share pre and post"),
+    ("cprhl", "cyclic-while", ("n1", "prog", "x := 1; y := 0"), "n1", "While concludes a loop-headed program"),
+    ("cprhl", "cyclic-while", ("n2", "prog", "skip"), "n1", "exit premise program must be the continuation"),
+    ("cprhl", "cyclic-while", ("n2", "pre", "y = 1"), "n1", "exit premise pre should be !guard -> pre"),
+    ("cprhl", "cyclic-while", ("n2", "post", "y = 1"), "n1", "exit premise must share the conclusion post"),
+    ("cprhl", "cyclic-while", ("n3", "prog", "x := 1; y := 0"), "n1", "loop premise program must be body; loop; continuation"),
+    ("cprhl", "cyclic-while", ("n3", "pre", "y = 1"), "n1", "loop premise pre should be guard -> pre"),
+    ("cprhl", "cyclic-while", ("n3", "post", "y = 1"), "n1", "loop premise must share the conclusion post"),
+]
+
+
+@pytest.mark.parametrize("system, base, change, at, detail", MISMATCHES)
+def test_rule_mismatch_messages(system, base, change, at, detail):
+    assert all(r.ok for r in _check(system, _certificate(system, base)).nodes.values())
+    r = _check(system, _certificate(system, base, change)).nodes[at]
+    assert (r.status, r.detail) == ("rule-mismatch", detail)
+
+
+@pytest.mark.parametrize("system, rule", [("prhl", "OpenLeaf"), ("prhl", "AssignSubst"), ("cprhl", "Seq"), ("cprhl", "Assign")])
+def test_rule_outside_the_system_raises(system, rule):
+    proof = _certificate(system, "assign-subst", ("n1", "rule", rule))
+    with pytest.raises(AssertionError, match=f"unreachable rule {rule}"):
+        _check(system, proof)

@@ -185,6 +185,13 @@ def test_parse_error_exit(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_quantified_guard_is_a_parse_error(tmp_path, capsys):
+    prog = write(tmp_path, "q.while", "while exists i. i = x do { x := x + 1 }")
+    assert main(["run", prog]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and "Traceback" not in err
+
+
 # --- check-proof -------------------------------------------------------------------
 
 
@@ -242,7 +249,7 @@ def _axiom_certificate(**changes):
     node = {"rule": "Axiom", "triple": triple, "children": []}
     doc = {"system": "prhl", "root": "n1", "nodes": {"n1": node}}
     for key, value in changes.items():
-        (triple if key in triple else node if key in node else doc)[key] = value
+        (triple if key in triple else node if key in (*node, "fresh") else doc)[key] = value
     return json.dumps(doc)
 
 
@@ -262,6 +269,25 @@ def test_check_proof_rule_of_wrong_type(tmp_path, capsys):
 def test_check_proof_triple_field_of_wrong_type(tmp_path, capsys):
     assert main(["check-proof", write(tmp_path, "c.json", _axiom_certificate(pre=1))]) == 3
     assert capsys.readouterr().err == "error: malformed triple at node 'n1': a field is not a string\n"
+
+
+@pytest.mark.parametrize(
+    "text, err",
+    [
+        ('{"system": "prhl",', "error: malformed JSON: "),
+        ("[]", "error: malformed certificate: not an object\n"),
+        (_axiom_certificate(nodes={}), "error: malformed certificate: no nodes\n"),
+        (_axiom_certificate(nodes={"n1": 1}), "error: malformed node 'n1'\n"),
+        (_axiom_certificate(children="n2"), "error: malformed children at node 'n1'\n"),
+        (_axiom_certificate(children=[1]), "error: malformed children at node 'n1'\n"),
+        (_axiom_certificate(fresh=1), "error: malformed fresh variable at node 'n1'\n"),
+        (_axiom_certificate(system="cprhl", backlinks=[]), "error: malformed backlinks\n"),
+    ],
+)
+def test_check_proof_malformed_certificate(text, err, tmp_path, capsys):
+    assert main(["check-proof", write(tmp_path, "c.json", text)]) == 3
+    got = capsys.readouterr().err
+    assert got.startswith(err) if err.endswith(": ") else got == err
 
 
 # --- prove / transform ---------------------------------------------------------------

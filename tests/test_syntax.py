@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, eval_expr, gen_assertion, gen_expr, gen_prog, gen_state, subst_ref, subterms
+from oracles import assert_holds, eval_expr, gen_assertion, gen_bool, gen_expr, gen_prog, gen_state, subst_ref, subterms
 from prhl.assertions import eval_assertion
 from prhl.syntax import (
     Assign,
@@ -16,6 +16,7 @@ from prhl.syntax import (
     Bool,
     Choice,
     Const,
+    BNot,
     Empty,
     EmptyProgramError,
     Eq,
@@ -36,6 +37,7 @@ from prhl.syntax import (
     parse_assertion,
     parse_program,
     print_assertion,
+    print_bool,
     print_program,
     prog_vars,
     quantifier_count,
@@ -117,6 +119,25 @@ def test_print_parse_round_trip_assertions(seed):
     for _ in range(8):
         s = gen_state(rng, NAMES, 4)
         assert assert_holds(a, s, 16) == assert_holds(b, s, 16)
+
+
+@given(SEEDS)
+def test_print_parse_round_trip_guards(seed):
+    rng = random.Random(seed)
+    b = gen_bool(rng, NAMES, 3)
+    assert parse_program(f"while {print_bool(b)} do {{ skip }}").guard is b
+
+
+def test_guard_constants_and_rejected_guards():
+    true = Eq(Const(0), Const(0))
+    for text, guard in (("true", true), ("false", BNot(true)), ("!false", BNot(BNot(true))), ("(x = 1)", Eq(Var("x"), Const(1)))):
+        assert parse_program(f"while {text} do {{ skip }}").guard is guard
+    # a guard is quantifier- and implication-free, in loops and conditionals
+    for text in ("exists i. i = x", "(forall i. i <= x)", "(x = 0 -> x = 1)", "!(x = 0 -> x = 1) && true"):
+        with pytest.raises(ParseError):
+            parse_program(f"while {text} do {{ skip }}")
+        with pytest.raises(ParseError):
+            parse_program(f"if {text} then {{ skip }} else {{ skip }}")
 
 
 @given(SEEDS)

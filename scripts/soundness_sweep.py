@@ -1,141 +1,25 @@
 """Random soundness sweep for the prover/checker pipeline.
 
-Generates random While programs and candidate triples, asks the prover
-for certificates, re-checks every certificate, and then semantically
-refutes the root triple of each certificate that was accepted without
-truncation flags.  Any such refutation is a soundness violation and
-makes the script exit nonzero.
+Runs ``sweep`` from tests/oracles.py, the generators and loop of
+acceptance criterion 3: random While programs and candidate triples are
+proved, the certificates re-checked, and the root triple of every
+certificate accepted without truncation flags is refuted semantically
+if it can be.  Any such refutation is a soundness violation and makes
+the script exit nonzero.  ``--seed 40300`` with the other defaults
+reproduces criterion 3.
 
 Usage:
     python3 scripts/soundness_sweep.py --cases 500 --seed 1
 """
 
 import argparse
-import random
 import sys
-from dataclasses import dataclass
+from pathlib import Path
 
-from prhl.assertions import BoundedOracle
-from prhl.certificates import Triple
-from prhl.checker import check_prhl
-from prhl.prover import ProveRequest, prove_prhl
-from prhl.semantics import Bounds, check_triple
-from prhl.syntax import (
-    And,
-    Assign,
-    BAnd,
-    BinOp,
-    BNot,
-    Bool,
-    Choice,
-    Const,
-    Empty,
-    Eq,
-    Le,
-    Not,
-    Or,
-    Seq,
-    Var,
-    While,
-    normalize_program,
-    print_program,
-)
-from prhl.wp import WprRequest, wpr_formula
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    cases: int = 500
-    seed: int = 1
-    depth: int = 3
-    names: tuple[str, ...] = ("x", "y")
-    const_max: int = 3
-    domain_max: int = 6
-    step_bound: int = 500
-    quant_bound: int = 4
-    quantifier_budget: int = 4
-
-    @property
-    def bounds(self) -> Bounds:
-        return Bounds(self.domain_max, self.step_bound, self.quant_bound)
-
-
-def gen_expr(rng, cfg, depth):
-    if depth <= 0 or rng.random() < 0.4:
-        if rng.random() < 0.5:
-            return Var(rng.choice(cfg.names))
-        return Const(rng.randint(0, cfg.const_max))
-    op = rng.choice("+-*/%")
-    return BinOp(op, gen_expr(rng, cfg, depth - 1), gen_expr(rng, cfg, depth - 1))
-
-
-def gen_bool(rng, cfg, depth):
-    if depth <= 0 or rng.random() < 0.5:
-        cls = rng.choice((Eq, Le))
-        return cls(gen_expr(rng, cfg, 1), gen_expr(rng, cfg, 1))
-    if rng.random() < 0.4:
-        return BNot(gen_bool(rng, cfg, depth - 1))
-    return BAnd(gen_bool(rng, cfg, depth - 1), gen_bool(rng, cfg, depth - 1))
-
-
-def gen_prog(rng, cfg, depth):
-    roll = rng.random()
-    if depth <= 0 or roll < 0.35:
-        if roll < 0.05:
-            return Empty()
-        return Assign(rng.choice(cfg.names), gen_expr(rng, cfg, 2))
-    if roll < 0.6:
-        return Seq(gen_prog(rng, cfg, depth - 1), gen_prog(rng, cfg, depth - 1))
-    if roll < 0.85:
-        return Choice(gen_prog(rng, cfg, depth - 1), gen_prog(rng, cfg, depth - 1))
-    # bounded loop: counter guard keeps every run finite
-    v = rng.choice(cfg.names)
-    body = Seq(gen_prog(rng, cfg, depth - 1), Assign(v, BinOp("+", Var(v), Const(1))))
-    return While(Le(Var(v), Const(rng.randint(0, cfg.const_max))), body)
-
-
-def gen_assertion(rng, cfg, depth):
-    if depth <= 0 or rng.random() < 0.5:
-        return Bool(gen_bool(rng, cfg, 1))
-    cls = rng.choice((And, Or, Not))
-    if cls is Not:
-        return Not(gen_assertion(rng, cfg, depth - 1))
-    return cls(gen_assertion(rng, cfg, depth - 1), gen_assertion(rng, cfg, depth - 1))
-
-
-def sweep(cfg: SweepConfig) -> int:
-    rng = random.Random(cfg.seed)
-    oracle = BoundedOracle(cfg.bounds, quantifier_budget=cfg.quantifier_budget)
-    counts = {"refuted": 0, "flagged": 0, "clean": 0, "violation": 0}
-    for i in range(cfg.cases):
-        prog = normalize_program(gen_prog(rng, cfg, cfg.depth))
-        post = gen_assertion(rng, cfg, 2)
-        loop_free = "while " not in print_program(prog)
-        if loop_free and rng.random() < 0.5:
-            pre = wpr_formula(WprRequest(prog, post)).formula
-        else:
-            pre = gen_assertion(rng, cfg, 2)
-        t = Triple(pre, prog, post)
-        res = prove_prhl(ProveRequest(t, "beta", cfg.bounds), oracle)
-        if res.proof is None:
-            counts["refuted"] += 1
-            continue
-        rep = check_prhl(res.proof.to_proof(), oracle)
-        if not rep.accepted or rep.bounded_flags:
-            counts["flagged"] += 1
-            continue
-        counts["clean"] += 1
-        v = check_triple("partial-reverse", t.pre, t.prog, t.post, cfg.bounds)
-        if v.is_invalid:
-            counts["violation"] += 1
-            print(f"VIOLATION case {i}: {t.render()}")
-            print(f"  witness: {v.witness}")
-    print(f"cases              {cfg.cases}")
-    print(f"refuted up front   {counts['refuted']}")
-    print(f"flagged or bounded {counts['flagged']}")
-    print(f"cleanly accepted   {counts['clean']}")
-    print(f"violations         {counts['violation']}")
-    return 1 if counts["violation"] else 0
+from oracles import sweep  # noqa: E402
+from prhl.semantics import Bounds  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -146,14 +30,17 @@ def main(argv=None) -> int:
     ap.add_argument("--domain-max", type=int, default=6)
     ap.add_argument("--step-bound", type=int, default=500)
     args = ap.parse_args(argv)
-    cfg = SweepConfig(
-        cases=args.cases,
-        seed=args.seed,
-        depth=args.depth,
-        domain_max=args.domain_max,
-        step_bound=args.step_bound,
-    )
-    return sweep(cfg)
+    bounds = Bounds(args.domain_max, args.step_bound, quant_bound=4)
+    counts, violations = sweep(args.seed, args.cases, bounds, quantifier_budget=4, depth=args.depth)
+    for i, t, witness in violations:
+        print(f"VIOLATION case {i}: {t.render()}")
+        print(f"  witness: {witness}")
+    print(f"cases              {args.cases}")
+    print(f"refuted up front   {counts['refuted']}")
+    print(f"flagged or bounded {counts['flagged']}")
+    print(f"cleanly accepted   {counts['clean']}")
+    print(f"violations         {len(violations)}")
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

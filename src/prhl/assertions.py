@@ -17,9 +17,8 @@ and report:
 * Valid otherwise, flagged as quantifier-bounded when some store's
   no-counterexample answer was itself bound-relative.
 
-The ``EntailmentOracle`` base class is the seam for swapping in a real
-decision procedure; everything downstream (proof checking, proving) takes
-an oracle rather than calling the bounded routines directly.
+The proof checker and the prover ask their side conditions through a
+``BoundedOracle``, which holds the bounds and a quantifier budget.
 """
 
 from __future__ import annotations
@@ -71,16 +70,9 @@ def entails(
     return Verdict("valid")
 
 
-class EntailmentOracle:
-    """Interface taken by the proof checker and prover for side
-    conditions.  Implementations decide hyp |= concl."""
-
-    def entails(self, hyp: Assertion, concl: Assertion) -> Verdict:
-        raise NotImplementedError
-
-
-class BoundedOracle(EntailmentOracle):
-    """Default oracle: exhaustive bounded enumeration.
+class BoundedOracle:
+    """Side-condition oracle of the checker and the prover: decides
+    hyp |= concl by exhaustive bounded enumeration.
 
     ``quantifier_budget``, when set, short-circuits queries whose two
     sides together carry more quantifiers than the budget; such queries

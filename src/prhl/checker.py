@@ -8,14 +8,18 @@ side conditions of a Cons step,
     premise-pre  |=  conclusion-pre
     conclusion-post  |=  premise-post
 
-which are discharged through an ``EntailmentOracle``.  An Invalid side
+which are discharged through a ``BoundedOracle``.  An Invalid side
 condition rejects the certificate with the counterexample store; a side
 condition that is only bound-relative (Valid with flags, or Unknown
 because a quantifier bound was reached) keeps the node ok but marks the
 overall answer as bounded, so a clean accept means every obligation was
 discharged exactly.
 
-For cyclic pre-proofs the per-node pass is complemented by the global
+Both systems are checked by one pass over the nodes in id order, with
+one rule table: Axiom and Cons are the same rule in both, the tree
+system's Assign, Seq, Or and While split the whole program, and the
+cyclic system's AssignSubst, AssignFresh, Or and While consume its first
+step.  For cyclic pre-proofs the pass is complemented by the global
 condition: every open leaf must be back-linked to a structurally
 identical inner companion, and the subgraph induced by Cons and OpenLeaf
 nodes (child edges plus backlink edges) must be acyclic, i.e. every cycle
@@ -26,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assertions import BoundedOracle, EntailmentOracle
+from .assertions import BoundedOracle
 from .certificates import (
+    CPRHL_ARITY,
+    PRHL_ARITY,
     CyclicPreProof,
     PrhlProof,
     ProofNode,
@@ -71,6 +77,10 @@ def _peq(p: Prog, q: Prog) -> bool:
     return erase_invariants(normalize_program(p)) is erase_invariants(normalize_program(q))
 
 
+def _share_pre_post(t: Triple, *kids: ProofNode) -> bool:
+    return all(_aeq(k.triple.pre, t.pre) and _aeq(k.triple.post, t.post) for k in kids)
+
+
 def guard_implies(guard, pre: Assertion, negate: bool = False) -> Assertion:
     """The assertions the loop rules build: (B -> P) and (!B -> P)."""
     g = BNot(guard) if negate else guard
@@ -109,207 +119,133 @@ def _id_order(nid: str) -> tuple[int, str]:
     return (len(nid), nid)
 
 
-class _RuleChecker:
-    def __init__(self, oracle: EntailmentOracle):
-        self.oracle = oracle
-
-    def mismatch(self, nid: str, detail: str) -> NodeResult:
-        return NodeResult(nid, "rule-mismatch", detail)
-
-    def cons_sides(self, nid: str, node: Triple, child: Triple) -> NodeResult:
-        """Check both Cons obligations; Invalid rejects, bounds downgrade."""
-        flags: list[str] = []
-        for name, hyp, concl in (
-            ("pre side", child.pre, node.pre),
-            ("post side", node.post, child.post),
-        ):
-            v = self.oracle.entails(hyp, concl)
-            if v.is_invalid:
-                at = ""
-                if isinstance(v.witness, State):
-                    names = sorted(free_vars(hyp) | free_vars(concl))
-                    at = f" at {format_state(v.witness, names)}"
-                return NodeResult(
-                    nid,
-                    "side-condition",
-                    f"{name}: {print_assertion(hyp)} |= {print_assertion(concl)} fails{at}",
-                    verdict=v,
-                )
-            if v.is_unknown or v.flags:
-                flags.append(f"quantifier at node {nid}")
-        return NodeResult(nid, "ok", bounded=tuple(dict.fromkeys(flags)))
+def _cons_sides(oracle: BoundedOracle, nid: str, node: Triple, child: Triple) -> NodeResult:
+    """Check both Cons obligations; Invalid rejects, bounds downgrade."""
+    flags: list[str] = []
+    for name, hyp, concl in (
+        ("pre side", child.pre, node.pre),
+        ("post side", node.post, child.post),
+    ):
+        v = oracle.entails(hyp, concl)
+        if v.is_invalid:
+            at = ""
+            if isinstance(v.witness, State):
+                names = sorted(free_vars(hyp) | free_vars(concl))
+                at = f" at {format_state(v.witness, names)}"
+            return NodeResult(
+                nid,
+                "side-condition",
+                f"{name}: {print_assertion(hyp)} |= {print_assertion(concl)} fails{at}",
+                verdict=v,
+            )
+        if v.is_unknown or v.flags:
+            flags.append(f"quantifier at node {nid}")
+    return NodeResult(nid, "ok", bounded=tuple(dict.fromkeys(flags)))
 
 
-def _check_prhl_node(rc: _RuleChecker, nid: str, n: ProofNode, kids: list[ProofNode]) -> NodeResult:
+def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig4_assign: bool) -> str:
+    """Why ``n`` is not an instance of its rule, or "" if it is; a Cons
+    node's side conditions are left to ``_cons_sides``."""
     t = n.triple
     prog = normalize_program(t.prog)
     if n.rule == "Axiom":
         if not isinstance(prog, Empty):
-            return rc.mismatch(nid, "Axiom concludes the empty program")
-        if not _aeq(t.pre, t.post):
-            return rc.mismatch(nid, "Axiom pre and post must match")
-        return NodeResult(nid, "ok")
+            return "Axiom concludes the empty program"
+        return "" if _aeq(t.pre, t.post) else "Axiom pre and post must match"
+    if n.rule == "OpenLeaf":
+        return ""  # closure is the global condition's job
+    if n.rule == "Cons":
+        same = _peq(t.prog, kids[0].triple.prog)
+        return "" if same else "Cons premise must share the conclusion program"
     if n.rule == "Assign":
         if not isinstance(prog, Assign):
-            return rc.mismatch(nid, "Assign concludes a single assignment")
+            return "Assign concludes a single assignment"
         want = subst(t.post, [(prog.name, prog.expr)])
-        if not _aeq(t.pre, want):
-            return rc.mismatch(
-                nid, f"Assign pre should be {print_assertion(canon(want))}"
-            )
-        return NodeResult(nid, "ok")
+        return "" if _aeq(t.pre, want) else f"Assign pre should be {print_assertion(canon(want))}"
     if n.rule == "Seq":
         left, right = kids
         if not _peq(t.prog, Seq(left.triple.prog, right.triple.prog)):
-            return rc.mismatch(nid, "premise programs do not compose to the conclusion")
+            return "premise programs do not compose to the conclusion"
         if not _aeq(left.triple.pre, t.pre):
-            return rc.mismatch(nid, "left premise pre differs from conclusion pre")
+            return "left premise pre differs from conclusion pre"
         if not _aeq(right.triple.post, t.post):
-            return rc.mismatch(nid, "right premise post differs from conclusion post")
+            return "right premise post differs from conclusion post"
         if not _aeq(left.triple.post, right.triple.pre):
-            return rc.mismatch(
-                nid,
+            return (
                 "middle assertions differ: "
                 f"{print_assertion(canon(left.triple.post))} vs "
-                f"{print_assertion(canon(right.triple.pre))}",
+                f"{print_assertion(canon(right.triple.pre))}"
             )
-        return NodeResult(nid, "ok")
-    if n.rule == "Cons":
-        (child,) = kids
-        if not _peq(t.prog, child.triple.prog):
-            return rc.mismatch(nid, "Cons premise must share the conclusion program")
-        return rc.cons_sides(nid, t, child.triple)
-    if n.rule == "Or":
+        return ""
+    if n.rule == "Or" and not cyclic:
         left, right = kids
         if not isinstance(prog, Choice):
-            return rc.mismatch(nid, "Or concludes a choice program")
+            return "Or concludes a choice program"
         if not (_peq(prog.left, left.triple.prog) and _peq(prog.right, right.triple.prog)):
-            return rc.mismatch(nid, "premise programs are not the two branches")
-        for kid in kids:
-            if not _aeq(kid.triple.pre, t.pre) or not _aeq(kid.triple.post, t.post):
-                return rc.mismatch(nid, "Or premises must share pre and post")
-        return NodeResult(nid, "ok")
-    if n.rule == "While":
+            return "premise programs are not the two branches"
+        return "" if _share_pre_post(t, *kids) else "Or premises must share pre and post"
+    if n.rule == "While" and not cyclic:
         (child,) = kids
         if not isinstance(prog, While):
-            return rc.mismatch(nid, "While concludes a loop")
+            return "While concludes a loop"
         if not _peq(child.triple.prog, prog.body):
-            return rc.mismatch(nid, "premise program must be the loop body")
+            return "premise program must be the loop body"
         if not _aeq(child.triple.pre, guard_implies(prog.guard, t.pre)):
-            return rc.mismatch(nid, "premise pre should be guard -> conclusion pre")
+            return "premise pre should be guard -> conclusion pre"
         if not _aeq(child.triple.post, t.pre):
-            return rc.mismatch(nid, "premise post should be the conclusion pre")
+            return "premise post should be the conclusion pre"
         if not _aeq(t.post, guard_implies(prog.guard, t.pre, negate=True)):
-            return rc.mismatch(nid, "conclusion post should be !guard -> pre")
-        return NodeResult(nid, "ok")
-    raise AssertionError(f"unreachable rule {n.rule}")
-
-
-def check_prhl(
-    proof: PrhlProof,
-    oracle: EntailmentOracle | None = None,
-    bounds: Bounds | None = None,
-) -> CheckReport:
-    bounds = bounds if bounds is not None else Bounds()
-    rc = _RuleChecker(oracle if oracle is not None else BoundedOracle(bounds))
-    results: dict[str, NodeResult] = {}
-    for nid in sorted(proof.nodes, key=_id_order):
-        n = proof.nodes[nid]
-        kids = [proof.nodes[c] for c in n.children]
-        results[nid] = _check_prhl_node(rc, nid, n, kids)
-    flags = tuple(f for r in results.values() for f in r.bounded)
-    accepted = all(r.ok for r in results.values())
-    return CheckReport("prhl", accepted, results, "ok", (), bounds, flags)
-
-
-# --- cyclic system ----------------------------------------------------------
-
-
-def _check_cprhl_node(
-    rc: _RuleChecker, nid: str, n: ProofNode, kids: list[ProofNode], strict_fig4_assign: bool
-) -> NodeResult:
-    t = n.triple
-    prog = normalize_program(t.prog)
-    if n.rule == "Axiom":
-        if not isinstance(prog, Empty):
-            return rc.mismatch(nid, "Axiom concludes the empty program")
-        if not _aeq(t.pre, t.post):
-            return rc.mismatch(nid, "Axiom pre and post must match")
-        return NodeResult(nid, "ok")
-    if n.rule == "OpenLeaf":
-        return NodeResult(nid, "ok")  # closure is the global condition's job
-    if n.rule == "Cons":
-        (child,) = kids
-        if not _peq(t.prog, child.triple.prog):
-            return rc.mismatch(nid, "Cons premise must share the conclusion program")
-        return rc.cons_sides(nid, t, child.triple)
+            return "conclusion post should be !guard -> pre"
+        return ""
     if isinstance(prog, Empty):
-        return rc.mismatch(nid, f"{n.rule} needs a program step to consume")
+        return f"{n.rule} needs a program step to consume"
     head, cont = decompose_head(prog)
     if n.rule in ("AssignSubst", "AssignFresh"):
         (child,) = kids
         if not isinstance(head, Assign):
-            return rc.mismatch(nid, f"{n.rule} concludes an assignment-headed program")
+            return f"{n.rule} concludes an assignment-headed program"
         if not _peq(child.triple.prog, cont):
-            return rc.mismatch(nid, "premise program must be the continuation")
+            return "premise program must be the continuation"
         if not _aeq(child.triple.post, t.post):
-            return rc.mismatch(nid, "premise must share the conclusion post")
+            return "premise must share the conclusion post"
         x, e = head.name, head.expr
         if n.rule == "AssignSubst":
             want = subst(child.triple.pre, [(x, e)])
-            if not _aeq(t.pre, want):
-                return rc.mismatch(
-                    nid, f"conclusion pre should be {print_assertion(canon(want))}"
-                )
-            return NodeResult(nid, "ok")
-        # AssignFresh
+            return "" if _aeq(t.pre, want) else f"conclusion pre should be {print_assertion(canon(want))}"
         xp = n.fresh
         if not xp:
-            return rc.mismatch(nid, "AssignFresh needs a fresh variable name")
-        used = free_vars(t.pre) | free_vars(t.post) | expr_vars(e) | prog_vars(prog)
-        if xp in used:
-            return rc.mismatch(nid, f"{xp} is not fresh for the conclusion")
+            return "AssignFresh needs a fresh variable name"
+        if xp in free_vars(t.pre) | free_vars(t.post) | expr_vars(e) | prog_vars(prog):
+            return f"{xp} is not fresh for the conclusion"
         e_ren = subst_expr(e, {x: Var(xp)})
-        if strict_fig4_assign:
-            eq = Eq(Var(xp), e_ren)
-        else:
-            eq = Eq(Var(x), e_ren)
+        eq = Eq(Var(xp) if strict_fig4_assign else Var(x), e_ren)
         want = And(Bool(eq), subst(t.pre, [(x, Var(xp))]))
-        if not _aeq(child.triple.pre, want):
-            return rc.mismatch(
-                nid, f"premise pre should be {print_assertion(canon(want))}"
-            )
-        return NodeResult(nid, "ok")
+        return "" if _aeq(child.triple.pre, want) else f"premise pre should be {print_assertion(canon(want))}"
     if n.rule == "Or":
-        left, right = kids
         if not isinstance(head, Choice):
-            return rc.mismatch(nid, "Or concludes a choice-headed program")
-        for kid, branch in ((left, head.left), (right, head.right)):
+            return "Or concludes a choice-headed program"
+        for kid, branch in zip(kids, (head.left, head.right)):
             if not _peq(kid.triple.prog, seq_of(branch, cont)):
-                return rc.mismatch(nid, "premise program must be branch; continuation")
-            if not _aeq(kid.triple.pre, t.pre) or not _aeq(kid.triple.post, t.post):
-                return rc.mismatch(nid, "Or premises must share pre and post")
-        return NodeResult(nid, "ok")
-    if n.rule == "While":
-        exit_kid, loop_kid = kids
-        if not isinstance(head, While):
-            return rc.mismatch(nid, "While concludes a loop-headed program")
-        if not _peq(exit_kid.triple.prog, cont):
-            return rc.mismatch(nid, "exit premise program must be the continuation")
-        if not _aeq(exit_kid.triple.pre, guard_implies(head.guard, t.pre, negate=True)):
-            return rc.mismatch(nid, "exit premise pre should be !guard -> pre")
-        if not _aeq(exit_kid.triple.post, t.post):
-            return rc.mismatch(nid, "exit premise must share the conclusion post")
-        if not _peq(loop_kid.triple.prog, seq_of(head.body, prog)):
-            return rc.mismatch(
-                nid, "loop premise program must be body; loop; continuation"
-            )
-        if not _aeq(loop_kid.triple.pre, guard_implies(head.guard, t.pre)):
-            return rc.mismatch(nid, "loop premise pre should be guard -> pre")
-        if not _aeq(loop_kid.triple.post, t.post):
-            return rc.mismatch(nid, "loop premise must share the conclusion post")
-        return NodeResult(nid, "ok")
-    raise AssertionError(f"unreachable rule {n.rule}")
+                return "premise program must be branch; continuation"
+            if not _share_pre_post(t, kid):
+                return "Or premises must share pre and post"
+        return ""
+    exit_kid, loop_kid = kids  # While
+    if not isinstance(head, While):
+        return "While concludes a loop-headed program"
+    if not _peq(exit_kid.triple.prog, cont):
+        return "exit premise program must be the continuation"
+    if not _aeq(exit_kid.triple.pre, guard_implies(head.guard, t.pre, negate=True)):
+        return "exit premise pre should be !guard -> pre"
+    if not _aeq(exit_kid.triple.post, t.post):
+        return "exit premise must share the conclusion post"
+    if not _peq(loop_kid.triple.prog, seq_of(head.body, prog)):
+        return "loop premise program must be body; loop; continuation"
+    if not _aeq(loop_kid.triple.pre, guard_implies(head.guard, t.pre)):
+        return "loop premise pre should be guard -> pre"
+    if not _aeq(loop_kid.triple.post, t.post):
+        return "loop premise must share the conclusion post"
+    return ""
 
 
 def global_soundness(proof: CyclicPreProof) -> tuple[str, tuple[str, ...]]:
@@ -348,20 +284,50 @@ def global_soundness(proof: CyclicPreProof) -> tuple[str, tuple[str, ...]]:
     return "ok", ()
 
 
-def check_cprhl(
-    proof: CyclicPreProof,
-    oracle: EntailmentOracle | None = None,
-    bounds: Bounds | None = None,
+def _check(
+    system: str,
+    proof: PrhlProof | CyclicPreProof,
+    oracle: BoundedOracle | None,
+    bounds: Bounds | None,
     strict_fig4_assign: bool = False,
 ) -> CheckReport:
+    """Check every node in id order, then, for a cyclic pre-proof, the
+    global condition."""
     bounds = bounds if bounds is not None else Bounds()
-    rc = _RuleChecker(oracle if oracle is not None else BoundedOracle(bounds))
+    oracle = oracle if oracle is not None else BoundedOracle(bounds)
+    cyclic = system == "cprhl"
+    arity = CPRHL_ARITY if cyclic else PRHL_ARITY
     results: dict[str, NodeResult] = {}
     for nid in sorted(proof.nodes, key=_id_order):
         n = proof.nodes[nid]
+        if n.rule not in arity:
+            raise AssertionError(f"unreachable rule {n.rule}")
         kids = [proof.nodes[c] for c in n.children]
-        results[nid] = _check_cprhl_node(rc, nid, n, kids, strict_fig4_assign)
-    gstatus, gids = global_soundness(proof)
+        detail = _rule_mismatch(n, kids, cyclic, strict_fig4_assign)
+        if detail:
+            results[nid] = NodeResult(nid, "rule-mismatch", detail)
+        elif n.rule == "Cons":
+            results[nid] = _cons_sides(oracle, nid, n.triple, kids[0].triple)
+        else:
+            results[nid] = NodeResult(nid, "ok")
+    gstatus, gids = global_soundness(proof) if cyclic else ("ok", ())
     flags = tuple(f for r in results.values() for f in r.bounded)
     accepted = all(r.ok for r in results.values()) and gstatus == "ok"
-    return CheckReport("cprhl", accepted, results, gstatus, gids, bounds, flags)
+    return CheckReport(system, accepted, results, gstatus, gids, bounds, flags)
+
+
+def check_prhl(
+    proof: PrhlProof,
+    oracle: BoundedOracle | None = None,
+    bounds: Bounds | None = None,
+) -> CheckReport:
+    return _check("prhl", proof, oracle, bounds)
+
+
+def check_cprhl(
+    proof: CyclicPreProof,
+    oracle: BoundedOracle | None = None,
+    bounds: Bounds | None = None,
+    strict_fig4_assign: bool = False,
+) -> CheckReport:
+    return _check("cprhl", proof, oracle, bounds, strict_fig4_assign)

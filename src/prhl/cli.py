@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 
 from .assertions import BoundedOracle
 from .certificates import (
@@ -29,7 +30,7 @@ from .certificates import (
     to_tree,
 )
 from .checker import CheckReport, check_cprhl, check_prhl
-from .prover import ProveRequest, prove_prhl, transform_to_cyclic
+from .prover import LOOP_MODES, ProveRequest, prove_prhl, transform_to_cyclic
 from .semantics import (
     LOGICS,
     Bounds,
@@ -51,24 +52,23 @@ from .syntax import (
 )
 from .wp import MissingInvariantError, SearchExhausted, WprRequest, encode_sequence, wpr_formula
 
-DEFAULTS = (("domain_max", "PRHL_DOMAIN_MAX", 8), ("step_bound", "PRHL_STEP_BOUND", 10000), ("quant_bound", "PRHL_QUANT_BOUND", 16))
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 3, not argparse's 2
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _bounds_of(args: argparse.Namespace) -> Bounds:
+    """Each ``Bounds`` field from its flag, else from PRHL_<FIELD>, else
+    the field's default."""
     vals = {}
-    for name, env, fallback in DEFAULTS:
-        given = getattr(args, name)
+    for f in fields(Bounds):
+        given = getattr(args, f.name)
         if given is None:
-            raw = os.environ.get(env)
-            given = int(raw) if raw is not None else fallback
+            raw = os.environ.get(f"PRHL_{f.name.upper()}")
+            given = int(raw) if raw is not None else f.default
         if given < 0:
-            raise ValueError(f"{name} must be non-negative")
-        vals[name] = given
+            raise ValueError(f"{f.name} must be non-negative")
+        vals[f.name] = given
     return Bounds(**vals)
 
 
@@ -132,10 +132,6 @@ def _verdict_json(v: Verdict, names) -> dict:
     }
 
 
-def _bounds_json(b: Bounds) -> dict:
-    return {"domain_max": b.domain_max, "step_bound": b.step_bound, "quant_bound": b.quant_bound}
-
-
 # --- report rendering -------------------------------------------------------
 
 
@@ -146,7 +142,7 @@ def emit_report(report: CheckReport, fmt: str = "text") -> str:
             {
                 "system": report.system,
                 "accepted": report.accepted,
-                "bounds": _bounds_json(report.bounds),
+                "bounds": asdict(report.bounds),
                 "bounded": list(report.bounded_flags),
                 "global": {"status": report.global_status, "ids": list(report.global_ids)},
                 "nodes": {
@@ -228,7 +224,7 @@ def _cmd_check_triple(args) -> int:
     v = check_triple(args.logic, t.pre, t.prog, t.post, bounds)
     names = relevant_vars(t.pre, t.prog, t.post)
     if args.format == "machine":
-        sys.stdout.write(_json_out({"logic": args.logic, "bounds": _bounds_json(bounds), "verdict": _verdict_json(v, names)}))
+        sys.stdout.write(_json_out({"logic": args.logic, "bounds": asdict(bounds), "verdict": _verdict_json(v, names)}))
     elif v.is_valid:
         suffix = f" (bounded: {', '.join(v.flags)})" if v.flags else ""
         print(f"VALID{suffix}")
@@ -386,7 +382,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("prove", help="build an ordinary proof for a triple file")
     p.add_argument("file")
-    p.add_argument("--loop-mode", choices=("beta", "invariant-annotations"), default="beta")
+    p.add_argument("--loop-mode", choices=LOOP_MODES, default="beta")
     p.add_argument("-o", "--output", metavar="CERT")
     common(p)
     p.set_defaults(fn=_cmd_prove)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assertions import BoundedOracle, EntailmentOracle
+from .assertions import BoundedOracle
 from .certificates import CertificateError, CyclicPreProof, PrhlNode, ProofNode, Triple
 from .checker import _aeq, guard_implies
 from .semantics import Bounds, Verdict, check_triple
@@ -83,7 +83,7 @@ class ProveResult:
 
 
 class _Prover:
-    def __init__(self, loop_mode: str, oracle: EntailmentOracle):
+    def __init__(self, loop_mode: str, oracle: BoundedOracle):
         self.wp_mode = "beta" if loop_mode == "beta" else "invariant"
         self.oracle = oracle
         self.sides: list[SideCondition] = []
@@ -148,7 +148,7 @@ def _classify(sides: list[SideCondition]) -> tuple[str, Verdict | None]:
     return "proved", None
 
 
-def prove_prhl(r: ProveRequest, oracle: EntailmentOracle | None = None) -> ProveResult:
+def prove_prhl(r: ProveRequest, oracle: BoundedOracle | None = None) -> ProveResult:
     """Attempt an ordinary proof of ``r.triple``.
 
     A bounded semantic check runs first; a counterexample yields status

@@ -7,7 +7,9 @@ The language is a small imperative core over natural-number stores:
     C ::= skip | x := E | C ; C | while B do { C } | C + C
     P ::= B | !P | P && P | P || P | P -> P | exists x. P | forall x. P
 
-``C + C`` is nondeterministic choice.  Subtraction is truncating and
+``C + C`` is nondeterministic choice.  A guard ``B`` is read with the
+assertion grammar and packed by ``canon``; one that keeps a quantifier
+or an implication is a parse error.  Subtraction is truncating and
 division/modulo are totalised in the semantics module; the syntax layer
 treats all five operators alike.  Comparison sugar (``!=``, ``<``, ``>``,
 ``>=``) and the constants ``true``/``false`` desugar at parse time and are
@@ -652,7 +654,7 @@ class _Parser:
             return e
         raise self.fail("expected expression")
 
-    # -- comparisons (shared by guards and assertions) --
+    # -- comparisons --
 
     def comparison(self) -> BoolExpr:
         left = self.expr()
@@ -675,42 +677,6 @@ class _Parser:
             self.next()
             return Le(self.expr(), left)
         raise self.fail("expected comparison operator")
-
-    # -- boolean guards --
-
-    def bool_expr(self) -> BoolExpr:
-        b = self.bool_term()
-        while self.at("||"):
-            self.next()
-            b = BOr(b, self.bool_term())
-        return b
-
-    def bool_term(self) -> BoolExpr:
-        b = self.bool_factor()
-        while self.at("&&"):
-            self.next()
-            b = BAnd(b, self.bool_factor())
-        return b
-
-    def bool_factor(self) -> BoolExpr:
-        if self.at("!"):
-            self.next()
-            return BNot(self.bool_factor())
-        if self.at("true"):
-            self.next()
-            return TRUE_BOOL
-        if self.at("false"):
-            self.next()
-            return FALSE_BOOL
-        save = self.pos
-        try:
-            return self.comparison()
-        except ParseError:
-            self.pos = save
-        self.expect("(")
-        b = self.bool_expr()
-        self.expect(")")
-        return b
 
     # -- assertions --
 
@@ -763,6 +729,15 @@ class _Parser:
         self.expect(")")
         return a
 
+    def guard(self) -> BoolExpr:
+        """A loop or conditional guard: an assertion that ``canon`` packs
+        into one ``BoolExpr``, i.e. one without quantifiers or ``->``."""
+        pos = self.peek()[2]
+        a = canon(self.assert_or())
+        if not isinstance(a, Bool):
+            raise ParseError("a guard takes no quantifier or implication", pos, self.text)
+        return a.expr
+
     # -- programs --
 
     def program(self) -> Prog:
@@ -789,7 +764,7 @@ class _Parser:
             return Empty()
         if self.at("while"):
             self.next()
-            guard = self.bool_expr()
+            guard = self.guard()
             inv = None
             if self.at("invariant"):
                 self.next()
@@ -799,7 +774,7 @@ class _Parser:
             return While(guard, body, inv)
         if self.at("if"):
             self.next()
-            cond = self.bool_expr()
+            cond = self.guard()
             self.expect("then")
             then = self.statement()
             self.expect("else")

@@ -1,4 +1,5 @@
-"""Reference implementations and generators shared by the test suite.
+"""Reference implementations, generators and the soundness sweep shared
+by the test suite and scripts/soundness_sweep.py.
 
 Computations the library performs by compiled small-step BFS, closures
 over store tuples, memoized walks over shared terms, formula
@@ -16,8 +17,11 @@ import random
 from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from prhl.assertions import BoundedOracle
 from prhl.certificates import CyclicPreProof, ProofNode, Triple
-from prhl.semantics import VALUE_BIT_CAP, Bounds, RunResult, State, Verdict, run_all
+from prhl.checker import check_prhl
+from prhl.prover import ProveRequest, prove_prhl
+from prhl.semantics import VALUE_BIT_CAP, Bounds, RunResult, State, Verdict, check_triple, run_all
 from prhl.syntax import (
     And,
     Assign,
@@ -44,9 +48,11 @@ from prhl.syntax import (
     free_vars,
     fresh_var,
     parse_program,
+    print_program,
     prog_vars,
     seq_of,
 )
+from prhl.wp import WprRequest, wpr_formula
 
 
 def parse_bool_expr(text: str):
@@ -654,6 +660,50 @@ def gen_assertion(rng: random.Random, names, depth: int, const_max: int = 3, qua
 
 def gen_state(rng: random.Random, names, domain_max: int) -> State:
     return State({n: rng.randrange(domain_max + 1) for n in names})
+
+
+# --- soundness sweep -----------------------------------------------------------
+
+
+def sweep(seed: int, cases: int, bounds: Bounds, quantifier_budget: int = 4, depth: int = 3):
+    """Random soundness sweep of the prover and the tree checker.
+
+    Draws ``cases`` programs over x and y with a post and a pre (for a
+    loop-free program, half of the time its weakest pre-formula), proves
+    each triple in beta mode, checks the certificate again and tries to
+    refute the root triple of every certificate accepted without bounded
+    flags.  Returns the counts of triples refuted up front, of
+    certificates flagged or bounded and of certificates accepted cleanly,
+    and every refuted clean certificate as (case, triple, witness): a
+    soundness violation.
+    """
+    names = ("x", "y")
+    rng = random.Random(seed)
+    oracle = BoundedOracle(bounds, quantifier_budget=quantifier_budget)
+    counts = {"refuted": 0, "flagged": 0, "clean": 0}
+    violations = []
+    for i in range(cases):
+        prog = gen_prog(rng, names, depth, const_max=3, loops=True)
+        post = gen_assertion(rng, names, 2, const_max=3)
+        loop_free = "while " not in print_program(prog)
+        if loop_free and rng.random() < 0.5:
+            pre = wpr_formula(WprRequest(prog, post)).formula
+        else:
+            pre = gen_assertion(rng, names, 2, const_max=3)
+        t = Triple(pre, prog, post)
+        res = prove_prhl(ProveRequest(t, "beta", bounds), oracle)
+        if res.proof is None:
+            counts["refuted"] += 1
+            continue
+        rep = check_prhl(res.proof.to_proof(), oracle)
+        if not rep.accepted or rep.bounded_flags:
+            counts["flagged"] += 1
+            continue
+        counts["clean"] += 1
+        v = check_triple("partial-reverse", t.pre, t.prog, t.post, bounds)
+        if v.is_invalid:
+            violations.append((i, t, v.witness))
+    return counts, violations
 
 
 # --- random cyclic pre-proof graphs ----------------------------------------

@@ -111,32 +111,10 @@ def test_criterion_2():
 def test_criterion_3():
     """Over 500 random programs, no certificate that the checker accepts
     without truncation flags has a semantically refuted root triple."""
-    bounds = Bounds(domain_max=6, step_bound=500, quant_bound=4)
-    oracle = BoundedOracle(bounds, quantifier_budget=4)
-    rng = random.Random(40300)
-    clean = 0
-    failures = []
-    for i in range(500):
-        prog = oracles.gen_prog(rng, NAMES, 3, const_max=3, loops=True)
-        post = oracles.gen_assertion(rng, NAMES, 2, const_max=3)
-        loop_free = "while " not in print_program(prog)
-        if loop_free and rng.random() < 0.5:
-            pre = wpr_formula(WprRequest(prog, post)).formula
-        else:
-            pre = oracles.gen_assertion(rng, NAMES, 2, const_max=3)
-        t = Triple(pre, prog, post)
-        res = prove_prhl(ProveRequest(t, "beta", bounds), oracle)
-        if res.proof is None:
-            continue
-        rep = check_prhl(res.proof.to_proof(), oracle)
-        if not rep.accepted or rep.bounded_flags:
-            continue
-        clean += 1
-        v = check_triple("partial-reverse", t.pre, t.prog, t.post, bounds)
-        if v.is_invalid:
-            failures.append(f"case {i}: accepted but refuted, witness {v.witness}")
-    if clean < 25:
-        failures.append(f"only {clean} cleanly accepted certificates; sweep is vacuous")
+    counts, violations = oracles.sweep(40300, 500, Bounds(domain_max=6, step_bound=500, quant_bound=4), quantifier_budget=4)
+    failures = [f"case {i}: accepted but refuted, witness {w}" for i, _, w in violations]
+    if counts["clean"] < 25:
+        failures.append(f"only {counts['clean']} cleanly accepted certificates; sweep is vacuous")
     _line(3, failures)
 
 

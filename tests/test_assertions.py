@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +14,7 @@ from oracles import (
     gen_state,
     models_tautology,
 )
-from prhl.assertions import BoundedOracle, EntailmentOracle, entails, eval_assertion
+from prhl.assertions import BoundedOracle, entails, eval_assertion
 from prhl.semantics import Bounds, State
 from prhl.syntax import And, Bool, Exists, Forall, Implies, Not, Or
 from prhl.syntax import parse_assertion as pa
@@ -66,11 +65,6 @@ def test_entails_extra_vars_widen_the_box():
 def test_models_tautology():
     assert models_tautology(pa("x <= x"), Bounds(3, 100, 16)).is_valid
     assert models_tautology(pa("x = 0"), Bounds(3, 100, 16)).is_invalid
-
-
-def test_oracle_interface_is_abstract():
-    with pytest.raises(NotImplementedError):
-        EntailmentOracle().entails(pa("true"), pa("true"))
 
 
 def test_bounded_oracle_quantifier_budget():

@@ -13,4 +13,4 @@ def test_oracles_load_by_path_without_a_module_entry():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     assert "oracles_by_path" not in sys.modules
-    assert callable(mod.gen_prog)
+    assert callable(mod.sweep) and callable(mod.gen_prog)

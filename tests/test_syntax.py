@@ -13,10 +13,10 @@ from prhl.assertions import eval_assertion
 from prhl.syntax import (
     Assign,
     BinOp,
+    BNot,
     Bool,
     Choice,
     Const,
-    BNot,
     Empty,
     EmptyProgramError,
     Eq,

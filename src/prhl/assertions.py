@@ -1,14 +1,18 @@
 """Bounded evaluation of first-order assertions and entailment checking.
 
-Quantifiers range over all naturals in the logic but are evaluated here
-over 0..quant_bound.  Evaluation therefore returns a pair (value, bounded):
-``bounded`` is set when the value is bound-relative, i.e. a universal ran
-out of candidates while still true, or an existential ran out while still
-false, anywhere in the deciding part of the formula.  Both sides are
-compiled once per question by ``semantics.compile_assertions`` and run on
-value tuples; ``eval_assertion`` is the one-store entry taking a
-``State``.  Entailment checks enumerate stores over the free variables
-and report:
+Quantifiers range over all naturals in the logic.  Before evaluation,
+``semantics.exact_ranges`` rewrites an assertion so that a quantifier
+pinned by ``x = e`` or ``x + t = e`` is gone and one guarded by ``x < e``
+or ``x <= e`` ranges up to its guard, exactly while that is within
+quant_bound; every other quantifier is evaluated over 0..quant_bound.
+Evaluation therefore returns a pair (value, bounded): ``bounded`` is set
+when the value is bound-relative, i.e. a quantifier ran out of
+candidates (unguarded, or guarded past quant_bound) without a certain
+witness, or a body value in its range was itself bound-relative,
+anywhere in the deciding part of the formula.  Both sides are compiled
+once per question by ``semantics.compile_assertions`` and run on value
+tuples; ``eval_assertion`` is the one-store entry taking a ``State``.
+Entailment checks enumerate stores over the free variables and report:
 
 * Invalid with the first (store-order) counterexample whose evaluation is
   bound-independent;
@@ -30,7 +34,8 @@ from .syntax import Assertion, free_vars, quantifier_count
 
 
 def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool]:
-    """Evaluate under the store; quantifiers range over 0..quant_bound.
+    """Evaluate under the store; quantifiers not pinned or guarded range
+    over 0..quant_bound.
 
     Returns (value, bounded).  A conjunction/disjunction is certain as
     soon as one side decides it with certainty, so e.g. ``false && P`` is

@@ -45,6 +45,7 @@ from .semantics import (
 from .syntax import (
     Empty,
     ParseError,
+    PrintCapExceeded,
     parse_assertion,
     parse_program,
     print_assertion,
@@ -420,6 +421,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
+    except PrintCapExceeded as exc:  # a bound hit, not a fault of the input
+        print(f"undecided: {exc}", file=sys.stderr)
+        return 2
     except (CertificateError, MissingInvariantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,8 +12,12 @@ is the store at the boundary: ``run_all``'s finals and verdict witnesses.
 A run starts by compiling the program into a table of labelled
 transitions, one label per continuation reachable from it (label 0 is the
 terminated program); expressions, guards and assertions compile into
-closures over store tuples.  A configuration is a (label, store tuple)
-pair; its successors come in a fixed order (the left branch of a choice
+closures over store tuples.  An assertion compiles in its
+``exact_ranges`` form: a quantifier pinned by ``x = e`` or ``x + t = e``
+is substituted away, one guarded by ``x < e`` or ``x <= e`` ranges up to
+its guard, exactly while that is within quant_bound, and every other one
+over 0..quant_bound.  A configuration is a (label, store tuple) pair;
+its successors come in a fixed order (the left branch of a choice
 first) and are those of the small-step relation.  All exploration is
 breadth-first over configurations with dedup, so the reported distance
 of a final store is the minimal run length reaching it.
@@ -49,6 +53,7 @@ from .syntax import (
     Empty,
     Eq,
     Exists,
+    Expr,
     Forall,
     Implies,
     Le,
@@ -59,10 +64,14 @@ from .syntax import (
     Var,
     While,
     assertion_vars,
+    canon,
+    conj,
     erase_invariants,
+    expr_vars,
     free_vars,
     prog_vars,
     seq_of,
+    subst,
 )
 
 
@@ -165,8 +174,10 @@ Evaluator = Callable[[tuple], tuple[bool, bool]]
 def compile_assertions(box: Sequence[str], quant_bound: int, *assertions: Assertion) -> list[Evaluator]:
     """Closures from a store tuple indexed like ``box`` to the (value,
     bounded) pair of ``assertions.eval_assertion``, one per assertion.
-    The slots are the box names, then the names only a quantifier binds,
-    which are zero until bound; a quantifier sets the slot of its name."""
+    Each assertion is compiled in its ``exact_ranges`` form.  The slots
+    are the box names, then the names only a quantifier binds, which are
+    zero until bound; a quantifier sets the slot of its name."""
+    assertions = tuple(map(exact_ranges(), assertions))
     only_bound = sorted(set().union(*map(assertion_vars, assertions)) - set(box))
     slot = {n: i for i, n in enumerate([*box, *only_bound])}
     pad = (0,) * len(only_bound)
@@ -177,9 +188,131 @@ def compile_assertions(box: Sequence[str], quant_bound: int, *assertions: Assert
     return out
 
 
+def _conjuncts(a: Assertion) -> list[Assertion]:
+    """The conjuncts of ``a``, through ``And`` and packed ``BAnd``."""
+    if isinstance(a, And):
+        return _conjuncts(a.left) + _conjuncts(a.right)
+    if isinstance(a, Bool) and isinstance(a.expr, BAnd):
+        return _conjuncts(Bool(a.expr.left)) + _conjuncts(Bool(a.expr.right))
+    return [a]
+
+
+def _needs(body: Assertion, univ: bool) -> list[Assertion]:
+    """The conjuncts without which a quantifier's ``body`` is vacuous: an
+    implication's antecedent under ``forall``, the body under ``exists``."""
+    if univ != isinstance(body, Implies):
+        return []
+    return _conjuncts(body.left if univ else body)
+
+
+def _pin(x: str, c: Assertion) -> tuple[Expr, Expr | None] | None:
+    """``(e, t)`` when the conjunct ``c`` reads ``x = e`` (``t`` None) or
+    ``x + t = e``, in either order, with ``x`` in neither ``e`` nor ``t``."""
+    if not (isinstance(c, Bool) and isinstance(c.expr, Eq)):
+        return None
+    var = Var(x)
+    for lhs, e in ((c.expr.left, c.expr.right), (c.expr.right, c.expr.left)):
+        if x in expr_vars(e):
+            continue
+        if lhs is var:
+            return e, None
+        if isinstance(lhs, BinOp) and lhs.op == "+":
+            for v, t in ((lhs.left, lhs.right), (lhs.right, lhs.left)):
+                if v is var and x not in expr_vars(t):
+                    return e, t
+    return None
+
+
+def _range_top(x: str, body: Assertion, univ: bool) -> Expr | None:
+    """``e`` (or ``e - 1``) for the first guard ``x <= e`` (or ``x < e``)
+    that ``body`` needs: past it, ``x`` makes the body vacuous."""
+    var = Var(x)
+    for c in _needs(body, univ):
+        b = c.expr if isinstance(c, Bool) else None
+        if isinstance(b, Le) and b.left is var and x not in expr_vars(b.right):
+            return b.right
+        if isinstance(b, BNot) and isinstance(b.arg, Le) and b.arg.right is var and x not in expr_vars(b.arg.left):
+            return BinOp("-", b.arg.left, Const(1))  # truncated: e = 0 tries 0 only, vacuously
+    return None
+
+
+def exact_ranges() -> Callable[[Assertion], Assertion]:
+    """A rewrite into an equivalent assertion over the naturals whose
+    quantifiers range over fewer values (Harrison, *Handbook of Practical
+    Logic and Automated Reasoning*, 2009), memoized for its lifetime:
+
+    * miniscoping: ``forall`` goes into both sides of ``&&``, ``exists``
+      of ``||``; either goes into the one side of the other connective, or
+      the consequent of ``->``, that holds its variable, through ``!`` as
+      its dual and below a quantifier of its kind; it goes away where its
+      variable does not occur;
+    * one point: ``forall x. (x = e && G) -> A`` is ``(G -> A)[x:=e]`` and
+      ``exists x. x = e && A`` is ``A[x:=e]``; ``x + t = e`` is read as
+      ``t <= e && x = e - t``.
+
+    Guards are left for ``_range_top``; ``canon`` packs what changed."""
+    memo: dict = {}
+    fvs: dict = {}
+
+    def fv(a):
+        return fvs[a] if a in fvs else fvs.setdefault(a, free_vars(a))
+
+    def go(a):
+        out = memo.get(a)
+        if out is None:
+            if isinstance(a, Bool):
+                out = a
+            elif isinstance(a, Not):
+                out = Not(go(a.arg))
+            elif isinstance(a, (Exists, Forall)):
+                out = quant(type(a), a.var, go(a.body))
+            else:
+                out = type(a)(go(a.left), go(a.right))
+            memo[a] = out
+        return out
+
+    def quant(q, x, b):
+        """``q x. b`` for a ``b`` already rewritten."""
+        if x not in fv(b):
+            return b
+        univ = q is Forall
+        if isinstance(b, Not):
+            return Not(quant(Exists if univ else Forall, x, b.arg))
+        if isinstance(b, q):
+            inner = quant(q, x, b.body)
+            if inner is q(x, b.body):
+                return q(x, b)
+            return q(b.var, inner) if b.var in fv(inner) else inner
+        cs = _needs(b, univ)
+        for j, pin in enumerate(_pin(x, c) for c in cs):
+            if pin:
+                (e, t), rest = pin, cs[:j] + cs[j + 1 :]
+                if t is not None:
+                    rest, e = [Bool(Le(t, e)), *rest], BinOp("-", e, t)
+                b = (Implies(conj(rest), b.right) if rest else b.right) if univ else conj(rest)
+                return subst(b, [(x, e)])
+        junction, packed = (And, BAnd) if univ else (Or, BOr)
+        if isinstance(b, Bool) and isinstance(b.expr, packed):
+            b = junction(Bool(b.expr.left), Bool(b.expr.right))
+        if isinstance(b, junction):
+            return junction(quant(q, x, b.left), quant(q, x, b.right))
+        if isinstance(b, (And, Or, Implies)):
+            if x not in fv(b.left):
+                return type(b)(b.left, quant(q, x, b.right))
+            if x not in fv(b.right) and not isinstance(b, Implies):
+                return type(b)(quant(q, x, b.left), b.right)
+        return q(x, b)
+
+    return lambda a: a if (out := go(a)) is a else canon(out)
+
+
 def _compile_assertion(a: Assertion, slot: Mapping[str, int], qb: int, neg: bool) -> Evaluator:
     """``a`` (negated if ``neg``) by the dualities And = ¬(¬l ∨ ¬r),
-    Implies = ¬l ∨ r and Forall = ¬∃¬; negation keeps the flag."""
+    Implies = ¬l ∨ r and Forall = ¬∃¬; negation keeps the flag.  A
+    quantifier ranges over ``0..min(top, qb)``, where ``top`` is its
+    range guard's bound or, unguarded, ``qb + 1``; the value is flagged
+    when some value in range gave a flagged body, or ``top > qb`` and
+    no certain witness came up."""
     if isinstance(a, Bool):
         g = _compile_bool(a.expr, slot)
         return (lambda st: (not g(st), False)) if neg else (lambda st: (g(st), False))
@@ -204,19 +337,22 @@ def _compile_assertion(a: Assertion, slot: Mapping[str, int], qb: int, neg: bool
         return either
     if isinstance(a, (Exists, Forall)):
         univ = isinstance(a, Forall)
-        i, f, values = slot[a.var], _compile_assertion(a.body, slot, qb, univ), range(qb + 1)
+        i, f = slot[a.var], _compile_assertion(a.body, slot, qb, univ)
+        top = _range_top(a.var, a.body, univ)
+        hi = (lambda st: qb + 1) if top is None else _compile_expr(top, slot)
         neg = neg != univ
 
         def some(st):
-            bounded = False  # a witness found, but only a bound-relative one
-            head, tail = st[:i], st[i + 1 :]
-            for v in values:
+            bounded = flagged = False  # a bound-relative witness; any flagged body
+            head, tail, last = st[:i], st[i + 1 :], hi(st)
+            for v in range(min(last, qb) + 1):
                 bv, bf = f(head + (v,) + tail)
-                if bv:
-                    if not bf:
-                        return not neg, False
-                    bounded = True
-            return bounded != neg, True  # the range ran out
+                if bf:
+                    flagged = True
+                    bounded = bounded or bv
+                elif bv:
+                    return not neg, False
+            return bounded != neg, flagged or last > qb  # or the range ran out
 
         return some
     raise TypeError(f"not an assertion: {a!r}")

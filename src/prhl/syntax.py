@@ -36,6 +36,7 @@ unrolled loop's formula, is handled once.
 
 from __future__ import annotations
 
+import functools
 import re
 import weakref
 from dataclasses import dataclass
@@ -228,6 +229,11 @@ TRUE_BOOL = Eq(Const(0), Const(0))
 FALSE_BOOL = BNot(TRUE_BOOL)
 TRUE = Bool(TRUE_BOOL)
 FALSE = Bool(FALSE_BOOL)
+
+
+def conj(parts: Sequence[Assertion]) -> Assertion:
+    """The conjunction of ``parts``, nested to the left; ``true`` if none."""
+    return functools.reduce(And, parts) if parts else TRUE
 
 
 # --- variable sets ------------------------------------------------------
@@ -853,6 +859,14 @@ _EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
 
 _IMP, _OR, _AND = 1, 2, 3
 
+# the longest text a term prints to: an unrolled loop's formula shares its
+# subterms, but its text doubles with every level (4.2 MB at depth 14)
+PRINT_CAP = 1 << 24
+
+
+class PrintCapExceeded(Exception):
+    """A term's text would pass ``PRINT_CAP`` bytes."""
+
 
 def _show(t, parent: int, memo: dict) -> str:
     """Text of an expression, guard or assertion inside an operator of
@@ -894,6 +908,8 @@ def _show(t, parent: int, memo: dict) -> str:
         s = f"({s})" if parent > 0 else s
     else:
         raise TypeError(f"not a printable term: {t!r}")
+    if len(s) > PRINT_CAP:  # names and numerals are ASCII: a character is a byte
+        raise PrintCapExceeded(f"print-size-cap: the text of a term passes {PRINT_CAP} bytes")
     memo[key] = s
     return s
 

@@ -51,6 +51,7 @@ from .syntax import (
     Var,
     While,
     canon,
+    conj,
     free_vars,
     fresh_var,
     prog_vars,
@@ -127,15 +128,6 @@ class WprResult:
     exact: bool
     loop_mode: str
     notes: tuple[str, ...] = ()
-
-
-def _conj(parts: list[Assertion]) -> Assertion:
-    if not parts:
-        return Bool(Eq(Const(0), Const(0)))
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
 
 
 def _mul_index(l: int, e: Expr) -> Expr:
@@ -215,20 +207,20 @@ def _wpr_loop_beta(p: While, q: Assertion, req: WprRequest, avoid: set[str], not
     kv, mv, nv, iv = Var(k), Var(m), Var(n), Var(i)
 
     def block(idx_base: Expr, names: list[str]) -> Assertion:
-        return _conj(
+        return conj(
             [beta(nv, mv, _add_offset(_mul_index(l, idx_base), j), names[j]) for j in range(l)]
         )
 
     def const_block(names: list[str], start: int) -> Assertion:
-        return _conj([beta(nv, mv, Const(start + j), names[j]) for j in range(l)])
+        return conj([beta(nv, mv, Const(start + j), names[j]) for j in range(l)])
 
     f_part = const_block(xs, 0) if l else Bool(Eq(Const(0), Const(0)))
 
     # S: coded state i steps to coded state i+1 through a guard-true body run
     guard_at_y = Bool(subst_bool(p.guard, [(xs[j], Var(y[j])) for j in range(l)]))
-    body_post = _conj([Bool(Eq(Var(xs[j]), Var(y1[j]))) for j in range(l)])
+    body_post = conj([Bool(Eq(Var(xs[j]), Var(y1[j]))) for j in range(l)])
     body_wpr = _wpr(p.body, body_post, req, set(avoid), notes)
-    step_back = Implies(body_wpr, _conj([Bool(Eq(Var(xs[j]), Var(y[j]))) for j in range(l)]))
+    step_back = Implies(body_wpr, conj([Bool(Eq(Var(xs[j]), Var(y[j]))) for j in range(l)]))
     step_at_y2 = subst(step_back, [(xs[j], Var(y2[j])) for j in range(l)])
     in_range = And(Bool(Le(Const(0), iv)), Bool(BNot(Le(kv, iv))))
     pair_coded = And(block(iv, y), block(BinOp("+", iv, Const(1)), y1))

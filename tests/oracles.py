@@ -17,7 +17,7 @@ import random
 from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from prhl.assertions import BoundedOracle
+from prhl.assertions import BoundedOracle, eval_assertion
 from prhl.certificates import CyclicPreProof, ProofNode, Triple
 from prhl.checker import check_prhl
 from prhl.prover import ProveRequest, prove_prhl
@@ -202,6 +202,61 @@ def eval_assertion_ref(a, s: State, quant_bound: int) -> tuple[bool, bool]:
     raise TypeError(f"not an assertion: {a!r}")
 
 
+def past_bound(a, s: State, quant_bound: int, cap: int = 24) -> int | None:
+    """A quantifier bound past every pinned or range term of ``a`` at
+    ``s``, or None when that would pass ``cap``.  Every ``v = e``,
+    ``v + t = e``, ``v <= e`` or ``e <= v`` in ``a`` with ``v`` not in
+    ``e`` may pin or bound ``v`` by ``e``.  The tree-walker ranges each
+    bound variable over the whole bound, so the bound is the least one,
+    from ``quant_bound`` and the store's values up, that no such ``e``
+    can pass when every bound variable is at the bound."""
+    terms, binders = [], set()
+    for t in subterms(a):
+        if isinstance(t, (Exists, Forall)):
+            binders.add(t.var)
+        if isinstance(t, (Eq, Le)):
+            for v, e in ((t.left, t.right), (t.right, t.left)):
+                if isinstance(v, BinOp) and v.op == "+" and isinstance(t, Eq):
+                    terms += [e for u in (v.left, v.right) if isinstance(u, Var) and u.name not in expr_vars(e)]
+                elif isinstance(v, Var) and v.name not in expr_vars(e):
+                    terms.append(e)
+    bound = max([quant_bound, *(s.get(n) for n in free_vars(a))])
+
+    def most(e) -> int:
+        if isinstance(e, Var):
+            return bound if e.name in binders else s.get(e.name)
+        if isinstance(e, Const):
+            return e.value
+        l, r = most(e.left), most(e.right)
+        return l + r if e.op == "+" else l * r if e.op == "*" else l  # -, / and % give at most l
+
+    while (top := max(map(most, terms), default=0)) > bound:
+        if top > cap:
+            return None
+        bound = top
+    return bound
+
+
+def exactness_error(a, s: State, quant_bound: int) -> str | None:
+    """Why ``eval_assertion(a, s, quant_bound)``, the compiled evaluator's
+    (value, bounded), is wrong by the tree-walker, or None.  Where the
+    walker is unflagged, the pair must equal the walker's (so it is
+    unflagged too).  An unflagged pair must hold at a larger bound, and
+    its value must be the walker's at ``past_bound``, unless that bound
+    is too large to walk."""
+    got, ref = eval_assertion(a, s, quant_bound), eval_assertion_ref(a, s, quant_bound)
+    if not ref[1]:
+        return None if got == ref else f"{got} where the walker is unflagged: {ref}"
+    if got[1]:
+        return None
+    if (wide := eval_assertion(a, s, quant_bound + 4)) != got:
+        return f"exact {got} but {wide} at quant_bound {quant_bound + 4}"
+    if (past := past_bound(a, s, quant_bound)) is None:
+        return None
+    exact = eval_assertion_ref(a, s, past)
+    return None if got[0] == exact[0] else f"exact {got} but the walker's {exact} at quant_bound {past}"
+
+
 def enumerate_states(names: Iterable[str], domain_max: int) -> Iterator[State]:
     """All stores over the given variables with values 0..domain_max, in
     lexicographic order of the name-sorted value tuple."""
@@ -210,15 +265,15 @@ def enumerate_states(names: Iterable[str], domain_max: int) -> Iterator[State]:
         yield State(dict(zip(order, values)))
 
 
-def entails_ref(hyp, concl, bounds: Bounds, extra_vars: Iterable[str] = ()) -> Verdict:
+def entails_ref(hyp, concl, bounds: Bounds, extra_vars: Iterable[str] = (), evaluate=eval_assertion_ref) -> Verdict:
     """``assertions.entails`` over a box of ``State``s, both sides
-    evaluated at every store."""
+    evaluated by ``evaluate`` at every store."""
     names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
     flagged_cex = False
     valid_flags = False
     for s in enumerate_states(names, bounds.domain_max):
-        hv, hf = eval_assertion_ref(hyp, s, bounds.quant_bound)
-        cv, cf = eval_assertion_ref(concl, s, bounds.quant_bound)
+        hv, hf = evaluate(hyp, s, bounds.quant_bound)
+        cv, cf = evaluate(concl, s, bounds.quant_bound)
         if hv and not cv:
             if not hf and not cf:
                 return Verdict("invalid", witness=s)
@@ -466,15 +521,15 @@ def min_triple_witness(pre, prog, post, states, step_bound: int, quant_bound: in
     return best[0], best[3], best[4]
 
 
-def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds) -> Verdict:
+def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds, evaluate=eval_assertion_ref) -> Verdict:
     """``semantics.check_triple`` over a box of ``State``s: every store's
-    runs by tree rewriting, assertions by tree walking, and candidate
-    witnesses sorted by (run length or box index, box index,
+    runs by tree rewriting, assertions by ``evaluate`` (tree walking), and
+    candidate witnesses sorted by (run length or box index, box index,
     ``State.sort_key`` of the final)."""
     names = sorted(free_vars(pre) | free_vars(post) | prog_vars(prog))
     qb = bounds.quant_bound
     box = list(enumerate_states(names, bounds.domain_max))
-    rows = [(s0, *eval_assertion_ref(pre, s0, qb), run_all_ref(prog, s0, bounds.step_bound)) for s0 in box]
+    rows = [(s0, *evaluate(pre, s0, qb), run_all_ref(prog, s0, bounds.step_bound)) for s0 in box]
     clean, budget_risk, quant_risk = [], False, False
     if logic in ("partial-reverse", "partial-hoare"):
         hoare = logic == "partial-hoare"
@@ -482,7 +537,7 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds) -> Verdi
             if pv == hoare or pfl:
                 budget_risk = budget_risk or r.exhausted
                 for f, depth in r.finals.items():
-                    fv, ffl = eval_assertion_ref(post, f, qb)
+                    fv, ffl = evaluate(post, f, qb)
                     if fv != hoare or ffl:
                         if pv == hoare and not pfl and not ffl:
                             clean.append((depth, idx, f.sort_key(), (s0, f)))
@@ -490,7 +545,7 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds) -> Verdi
                             quant_risk = True
     elif logic == "total-hoare":
         for idx, (s0, pv, pfl, r) in enumerate(rows):
-            finals = [eval_assertion_ref(post, f, qb) for f in r.finals]
+            finals = [evaluate(post, f, qb) for f in r.finals]
             if not (pv or pfl) or any(v and not fl for v, fl in finals):
                 continue
             if r.exhausted:
@@ -504,7 +559,7 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds) -> Verdi
         poss = {f for s0, pv, pfl, r in rows if pv or pfl for f in r.finals}
         poss_exhausted = any(r.exhausted for s0, pv, pfl, r in rows if pv or pfl)
         for idx, f in enumerate(box):
-            fv, ffl = eval_assertion_ref(post, f, qb)
+            fv, ffl = evaluate(post, f, qb)
             if (fv or ffl) and f not in cert:
                 if poss_exhausted:
                     budget_risk = True
@@ -641,20 +696,31 @@ def denormalize(rng: random.Random, p: Prog) -> Prog:
     return p
 
 
-def gen_assertion(rng: random.Random, names, depth: int, const_max: int = 3, quant: bool = False):
+def gen_assertion(rng: random.Random, names, depth: int, const_max: int = 3, quant: float = 0.0, guards: bool = False):
+    """An assertion over ``names``; ``quant`` (True reads 0.2) is the share
+    of inner nodes that are quantifiers, and with ``guards`` half of them
+    are guarded the way the assertion compiler ranges exactly."""
     if depth <= 0 or rng.random() < 0.4:
         return Bool(gen_bool(rng, names, 1, const_max))
     pick = rng.random()
-    if quant and pick < 0.2:
+    if pick < (0.2 if quant is True else quant):
         ctor = Exists if rng.random() < 0.5 else Forall
         v = rng.choice(names)
-        return ctor(v, gen_assertion(rng, names, depth - 1, const_max, quant))
+        body = gen_assertion(rng, names, depth - 1, const_max, quant, guards)
+        if guards and rng.random() < 0.5:
+            # v = e, v + t = e or v < e, as a forall's antecedent or an
+            # exists' conjunct
+            e = gen_expr(rng, [n for n in names if n != v] or [v], 1, const_max)
+            t = gen_expr(rng, [n for n in names if n != v] or [v], 0, const_max)
+            guard = rng.choice((Eq(Var(v), e), Eq(BinOp("+", Var(v), t), e), BNot(Le(e, Var(v)))))
+            body = Implies(Bool(guard), body) if ctor is Forall else And(Bool(guard), body)
+        return ctor(v, body)
     if pick < 0.35:
-        return Not(gen_assertion(rng, names, depth - 1, const_max, quant))
+        return Not(gen_assertion(rng, names, depth - 1, const_max, quant, guards))
     ctor = rng.choice((And, Or, Implies))
     return ctor(
-        gen_assertion(rng, names, depth - 1, const_max, quant),
-        gen_assertion(rng, names, depth - 1, const_max, quant),
+        gen_assertion(rng, names, depth - 1, const_max, quant, guards),
+        gen_assertion(rng, names, depth - 1, const_max, quant, guards),
     )
 
 

@@ -73,11 +73,16 @@ def test_cons_node_side_conditions():
 def test_cons_node_bounded_sides_stay_ok():
     # the oracle cannot decide the side, so the node passes with a flag
     child = PrhlNode("Assign", triple("x + 1 = 2", "x := x + 1", "x = 2"))
-    root = PrhlNode("Cons", triple("exists y. x = y + 20", "x := x + 1", "x = 2"), (child,))
+    root = PrhlNode("Cons", triple("exists y. x = y * y + 20", "x := x + 1", "x = 2"), (child,))
     r = check_prhl(root.to_proof(), oracle=BoundedOracle(Bounds(6, 2000, 4)), bounds=B)
     assert r.accepted
     assert r.bounded
     assert r.bounded_flags == ("quantifier at node n1",)
+    # exists y. x = y + 20 is 20 <= x, which x = 1 fails: a real failure
+    root = PrhlNode("Cons", triple("exists y. x = y + 20", "x := x + 1", "x = 2"), (child,))
+    r = check_prhl(root.to_proof(), oracle=BoundedOracle(Bounds(6, 2000, 4)), bounds=B)
+    assert not r.accepted and not r.bounded
+    assert r.nodes["n1"].status == "side-condition" and "fails at {x: 1}" in r.nodes["n1"].detail
 
 
 def test_or_and_while_nodes():

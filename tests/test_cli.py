@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from prhl import cli
 from prhl.cli import main, read_triple_file
 from prhl.certificates import parse_proof
 from prhl.semantics import State
-from prhl.syntax import parse_program
+from prhl.syntax import PRINT_CAP, parse_program
 
 
 def write(tmp_path, name, text):
@@ -333,9 +334,29 @@ def test_prove_beta_bounded(tmp_path, capsys):
     assert "(bounded: quantifier-bounded)" in out
 
 
-def test_transform_rejects_cyclic_input(capsys):
-    assert main(["transform", "corpus/ex4_literal.cprhl.json"]) == 3
-    assert "expects an ordinary" in capsys.readouterr().err
+def test_prove_beta_ex3_answers_within_seconds(capsys):
+    # the beta invariant's sequence entries are pinned and its index is
+    # guarded, so only k, m and n range over 0..quant_bound
+    assert main(["prove", "corpus/ex3.triple", "--domain-max", "3", "--quant-bound", "8"]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == "status: proved-bounded"
+    start = time.perf_counter()
+    assert main(["prove", "corpus/ex3.triple", "--domain-max", "3", "--quant-bound", "16"]) == 2
+    assert time.perf_counter() - start < 10
+    assert capsys.readouterr().out.splitlines()[0] == "status: unknown"
+
+
+def test_transform_rejects_cyclic_input(tmp_path, capsys):
+    # the corpus's hand-written cyclic certificate and one that transform wrote
+    t = write(tmp_path, "line.triple", "pre: x = 2\nprog: x := x + 1\npost: x = 3\n")
+    cert, cyc = str(tmp_path / "line.json"), str(tmp_path / "line.cyclic.json")
+    assert main(["prove", t, "-o", cert]) == 0
+    assert main(["transform", cert, "-o", cyc]) == 0
+    capsys.readouterr()
+    for path in ("corpus/ex4_literal.cprhl.json", cyc):
+        assert main(["transform", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: transform expects an ordinary (prhl) certificate\n"
+        assert captured.out == ""
 
 
 # --- wp / beta-encode -------------------------------------------------------------------
@@ -376,6 +397,17 @@ def test_wp_unroll_machine_golden(case, tmp_path, capsys):
         assert (code, out.decode()) == (want["exit"], want["stdout"])
     else:
         assert (code, len(out), hashlib.sha256(out).hexdigest()) == (want["exit"], want["bytes"], want["sha256"])
+
+
+def test_wp_unroll_text_past_the_print_cap(tmp_path, capsys):
+    # the text doubles per level: depth 15 prints 9.0 MB, depth 16 would pass 16 MiB
+    path = write(tmp_path, "choice.triple", CHOICE_LOOP)
+    assert main(["wp", path, "--loop-mode", "unroll", "--unroll-depth", "20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"undecided: print-size-cap: the text of a term passes {PRINT_CAP} bytes\n"
+    assert captured.out == ""
+    assert main(["wp", path, "--loop-mode", "unroll", "--unroll-depth", "15"]) == 2
+    assert len(capsys.readouterr().out) == 8978463
 
 
 def test_beta_encode(capsys):

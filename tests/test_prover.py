@@ -99,7 +99,15 @@ def test_beta_mode_proves_with_bounded_sides():
     t = Triple(pa("x <= 1"), pp("while x = 0 do { x := x + 1 }"), pa("x = 1"))
     res = prove_prhl(ProveRequest(t, loop_mode="beta", bounds=Bounds(6, 2000, 4)))
     assert res.status == "proved-bounded" and res.ok
-    assert all(s.verdict.is_valid and s.verdict.flags for s in res.sides)
+    # the pinned sequence entries leave only k, m and n to range: the loop
+    # sides are exact, while the root's is flagged, since no beta code
+    # under the bound shows that x >= 2 has no run
+    assert all(s.verdict.is_valid for s in res.sides)
+    assert [(s.where, s.verdict.flags) for s in res.sides] == [
+        ("loop body: pre side", ()),
+        ("loop exit: post side", ()),
+        ("root: pre side", ("quantifier-bounded",)),
+    ]
     rep = check_prhl(res.proof.to_proof(), oracle=BoundedOracle(Bounds(6, 2000, 4)))
     assert rep.accepted
     assert rep.bounded_flags == (

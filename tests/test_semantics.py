@@ -14,6 +14,7 @@ from oracles import (
     enumerate_states,
     eval_bool,
     eval_expr,
+    exactness_error,
     gen_assertion,
     gen_prog,
     gen_state,
@@ -28,6 +29,7 @@ from prhl.semantics import (
     LOGICS,
     Bounds,
     State,
+    Verdict,
     check_triple,
     compile_program,
     format_state,
@@ -534,7 +536,16 @@ def test_check_triple_step_budget_unknown():
 
 
 def test_check_triple_quantifier_unknown():
-    # post needs two nested quantifiers but the budget admits none
+    # post needs two nested quantifiers but the bound admits only 0
+    v = check_triple(
+        "partial-reverse",
+        parse_assertion("x = 0"),
+        parse_program("x := x"),
+        parse_assertion("exists y. exists z. x = y * z"),
+        Bounds(2, 30, 0),
+    )
+    assert v.is_unknown and v.reason == "quantifier-bounded"
+    # x = y + z pins z to x - y, and y <= x guards y: true at every store
     v = check_triple(
         "partial-reverse",
         parse_assertion("x = 0"),
@@ -542,7 +553,7 @@ def test_check_triple_quantifier_unknown():
         parse_assertion("exists y. exists z. x = y + z"),
         Bounds(2, 30, 0),
     )
-    assert v.is_unknown and v.reason == "quantifier-bounded"
+    assert v.is_invalid and v.witness == (State(x=1), State(x=1))
 
 
 @given(SEEDS)
@@ -552,11 +563,24 @@ def test_check_triple_matches_state_box_reference(seed):
     # logics, with quantified pre and post whose binders shadow store names
     rng = random.Random(seed)
     p = gen_prog(rng, NAMES, 2)
-    pre = gen_assertion(rng, NAMES + ["q"], 2, quant=True)
-    post = gen_assertion(rng, NAMES + ["q"], 2, quant=True)
+    pre = gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True)
+    post = gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True)
     b = Bounds(domain_max=rng.randrange(1, 4), step_bound=rng.choice([3, 40, 500]), quant_bound=rng.randrange(4))
     for logic in LOGICS:
-        assert check_triple(logic, pre, p, post, b) == check_triple_ref(logic, pre, p, post, b)
+        got = check_triple(logic, pre, p, post, b)
+        assert got == check_triple_ref(logic, pre, p, post, b, evaluate=eval_assertion)
+        # a verdict that the walker's values decide without flags stands
+        ref = check_triple_ref(logic, pre, p, post, b)
+        if ref.is_invalid:
+            assert got.is_invalid
+        if ref == Verdict("valid"):
+            assert got == ref
+    # the compiled values against the walker's, at every store and final
+    names = relevant_vars(pre, p, post)
+    for s0 in enumerate_states(names, b.domain_max):
+        assert exactness_error(pre, s0, b.quant_bound) is None
+        for f in {s0, *run_all_ref(p, s0, b.step_bound).finals}:
+            assert exactness_error(post, f, b.quant_bound) is None
 
 
 @given(SEEDS)

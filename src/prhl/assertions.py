@@ -22,7 +22,7 @@ Entailment checks enumerate stores over the free variables and report:
   no-counterexample answer was itself bound-relative.
 
 The proof checker and the prover ask their side conditions through a
-``BoundedOracle``, which holds the bounds and a quantifier budget.
+``BoundedOracle``, which holds the bounds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .semantics import Bounds, State, Verdict, compile_assertions, store_tuples
-from .syntax import Assertion, free_vars, quantifier_count
+from .syntax import Assertion, free_vars
 
 
 def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool]:
@@ -77,22 +77,10 @@ def entails(
 
 class BoundedOracle:
     """Side-condition oracle of the checker and the prover: decides
-    hyp |= concl by exhaustive bounded enumeration.
+    hyp |= concl by exhaustive bounded enumeration."""
 
-    ``quantifier_budget``, when set, short-circuits queries whose two
-    sides together carry more quantifiers than the budget; such queries
-    come back Unknown immediately instead of spending exponential time.
-    Useful when checking certificates full of beta-encoded loop formulas.
-    """
-
-    def __init__(self, bounds: Bounds | None = None, quantifier_budget: int | None = None):
+    def __init__(self, bounds: Bounds | None = None):
         self.bounds = bounds if bounds is not None else Bounds()
-        self.quantifier_budget = quantifier_budget
 
     def entails(self, hyp: Assertion, concl: Assertion) -> Verdict:
-        if self.quantifier_budget is not None:
-            if quantifier_count(hyp) + quantifier_count(concl) > self.quantifier_budget:
-                return Verdict(
-                    "unknown", reason="quantifier-bounded", flags=("quantifier-budget",)
-                )
         return entails(hyp, concl, self.bounds)

@@ -56,11 +56,9 @@ from .syntax import (
     Var,
     While,
     canon,
-    decompose_head,
     erase_invariants,
     expr_vars,
     free_vars,
-    normalize_program,
     print_assertion,
     prog_vars,
     seq_of,
@@ -74,7 +72,7 @@ def _aeq(a: Assertion, b: Assertion) -> bool:
 
 
 def _peq(p: Prog, q: Prog) -> bool:
-    return erase_invariants(normalize_program(p)) is erase_invariants(normalize_program(q))
+    return erase_invariants(seq_of(p)) is erase_invariants(seq_of(q))
 
 
 def _share_pre_post(t: Triple, *kids: ProofNode) -> bool:
@@ -147,7 +145,7 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
     """Why ``n`` is not an instance of its rule, or "" if it is; a Cons
     node's side conditions are left to ``_cons_sides``."""
     t = n.triple
-    prog = normalize_program(t.prog)
+    prog = seq_of(t.prog)
     if n.rule == "Axiom":
         if not isinstance(prog, Empty):
             return "Axiom concludes the empty program"
@@ -199,7 +197,7 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
         return ""
     if isinstance(prog, Empty):
         return f"{n.rule} needs a program step to consume"
-    head, cont = decompose_head(prog)
+    head, cont = (prog.first, prog.second) if isinstance(prog, Seq) else (prog, Empty())
     if n.rule in ("AssignSubst", "AssignFresh"):
         (child,) = kids
         if not isinstance(head, Assign):

@@ -46,6 +46,7 @@ from .syntax import (
     Empty,
     ParseError,
     PrintCapExceeded,
+    free_vars,
     parse_assertion,
     parse_program,
     print_assertion,
@@ -94,11 +95,10 @@ def read_triple_file(path: str) -> Triple:
     missing = [k for k in ("pre", "prog", "post") if k not in sections]
     if missing:
         raise ValueError(f"{path}: missing section(s) {', '.join(missing)}")
-    return Triple(
-        parse_assertion("\n".join(sections["pre"])),
-        parse_program("\n".join(sections["prog"])),
-        parse_assertion("\n".join(sections["post"])),
-    )
+    pre, post = (parse_assertion("\n".join(sections[k])) for k in ("pre", "post"))
+    # the flag of an `if` must not capture a variable of the pre or post
+    prog = parse_program("\n".join(sections["prog"]), free_vars(pre) | free_vars(post))
+    return Triple(pre, prog, post)
 
 
 def _json_out(obj) -> str:

@@ -27,7 +27,6 @@ from .syntax import (
     Seq,
     While,
     canon,
-    normalize_program,
     seq_of,
     subst,
 )
@@ -161,7 +160,7 @@ def prove_prhl(r: ProveRequest, oracle: BoundedOracle | None = None) -> ProveRes
         raise ValueError(f"loop_mode must be one of {LOOP_MODES}, got {r.loop_mode!r}")
     if oracle is None:
         oracle = BoundedOracle(r.bounds)
-    prog = normalize_program(r.triple.prog)
+    prog = seq_of(r.triple.prog)
 
     pre_check = check_triple("partial-reverse", r.triple.pre, prog, r.triple.post, r.bounds)
     if pre_check.is_invalid:
@@ -202,7 +201,7 @@ def transform_to_cyclic(p: PrhlNode, continuation: Prog, r: Assertion) -> Cyclic
 
     def top_close(label: Triple, env: dict[Triple, str]) -> str:
         nid = reserve()
-        if isinstance(normalize_program(label.prog), Empty) and _aeq(label.pre, label.post):
+        if isinstance(seq_of(label.prog), Empty) and _aeq(label.pre, label.post):
             return fill(nid, "Axiom", label)
         return fill(nid, "OpenLeaf", label)
 
@@ -257,5 +256,5 @@ def transform_to_cyclic(p: PrhlNode, continuation: Prog, r: Assertion) -> Cyclic
             return fill(nid, "While", wtriple, (exit_kid, loop_kid))
         raise CertificateError(f"cannot transform rule {n.rule}")
 
-    root = walk(p, normalize_program(continuation), {}, top_close)
+    root = walk(p, seq_of(continuation), {}, top_close)
     return CyclicPreProof(root, nodes, backlinks)

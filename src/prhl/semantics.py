@@ -72,6 +72,7 @@ from .syntax import (
     prog_vars,
     seq_of,
     subst,
+    units,
 )
 
 
@@ -453,9 +454,9 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
 
 def _onto(q: Prog, t: Prog) -> Prog:
     """``seq_of(q, t)`` for programs in normal form, walking ``q`` only."""
-    if isinstance(q, Empty) or isinstance(t, Empty):
-        return t if isinstance(q, Empty) else q
-    return Seq(q.first, _onto(q.second, t)) if isinstance(q, Seq) else Seq(q, t)
+    for u in reversed(list(units(q))):
+        t = u if isinstance(t, Empty) else Seq(u, t)
+    return t
 
 
 # --- bounded run exploration ----------------------------------------------------

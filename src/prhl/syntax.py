@@ -16,14 +16,23 @@ treats all five operators alike.  Comparison sugar (``!=``, ``<``, ``>``,
 re-sugared by the printer, so parse/print round-trips are stable on ASTs
 even when they rewrite the concrete text.
 
-``if B then C1 else C2`` is accepted as sugar and compiled with a fresh
-flag variable::
+``if B then C1 else C2`` is accepted as sugar, which the parser compiles
+on the spot with a flag variable::
 
     t := 0;
     while B && t = 0 do { C1; t := 1 };
     while !B && t = 0 do { C2; t := 1 }
 
+The flag is ``fresh_var`` of ``t`` against every identifier in the text,
+every flag drawn before it (inner conditionals first, then left to
+right) and any names the caller passes, such as a triple's pre and post.
 Fresh variables are spelled ``x_p1``, ``x_p2``, ... in ASCII.
+
+Programs are kept in one normal form: sequencing nested to the right,
+no ``skip`` unit, loop bodies and choice arms normal.  A program's right
+spine is its block of units; ``units`` walks it without recursion and
+``seq_of`` builds normal form from any parts, so program length costs no
+stack depth.
 
 Nodes are interned (hash-consed): building a node equal to a live one
 returns that one, so equal terms are the same object and ``==`` and
@@ -40,7 +49,7 @@ import functools
 import re
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 # --- abstract syntax ---------------------------------------------------
@@ -172,15 +181,6 @@ class Choice(Prog):
     right: Prog
 
 
-@_node
-class IfSugar(Prog):
-    """Parser-internal conditional; compiled away by ``parse_program``."""
-
-    cond: BoolExpr
-    then: Prog
-    orelse: Prog
-
-
 class Assertion(_Node):
     __slots__ = ()
 
@@ -261,19 +261,17 @@ def bool_vars(b: BoolExpr) -> frozenset[str]:
 
 def prog_vars(p: Prog) -> frozenset[str]:
     """Variables occurring in program text (invariant annotations excluded)."""
-    if isinstance(p, Empty):
-        return frozenset()
-    if isinstance(p, Assign):
-        return frozenset({p.name}) | expr_vars(p.expr)
-    if isinstance(p, Seq):
-        return prog_vars(p.first) | prog_vars(p.second)
-    if isinstance(p, While):
-        return bool_vars(p.guard) | prog_vars(p.body)
-    if isinstance(p, Choice):
-        return prog_vars(p.left) | prog_vars(p.right)
-    if isinstance(p, IfSugar):
-        return bool_vars(p.cond) | prog_vars(p.then) | prog_vars(p.orelse)
-    raise TypeError(f"not a program: {p!r}")
+    out: set[str] = set()
+    for u in units(p):
+        if isinstance(u, Assign):
+            out |= {u.name} | expr_vars(u.expr)
+        elif isinstance(u, While):
+            out |= bool_vars(u.guard) | prog_vars(u.body)
+        elif isinstance(u, Choice):
+            out |= prog_vars(u.left) | prog_vars(u.right)
+        else:
+            raise TypeError(f"not a program: {u!r}")
+    return frozenset(out)
 
 
 def free_vars(a: Assertion) -> frozenset[str]:
@@ -298,19 +296,6 @@ def assertion_vars(a: Assertion) -> frozenset[str]:
         return assertion_vars(a.left) | assertion_vars(a.right)
     if isinstance(a, (Exists, Forall)):
         return assertion_vars(a.body) | {a.var}
-    raise TypeError(f"not an assertion: {a!r}")
-
-
-def quantifier_count(a: Assertion) -> int:
-    """Number of quantifier nodes, a cheap evaluation-cost proxy."""
-    if isinstance(a, Bool):
-        return 0
-    if isinstance(a, Not):
-        return quantifier_count(a.arg)
-    if isinstance(a, (And, Or, Implies)):
-        return quantifier_count(a.left) + quantifier_count(a.right)
-    if isinstance(a, (Exists, Forall)):
-        return 1 + quantifier_count(a.body)
     raise TypeError(f"not an assertion: {a!r}")
 
 
@@ -460,72 +445,62 @@ def canon(a: Assertion) -> Assertion:
 # --- program normal form ------------------------------------------------
 
 
-def normalize_program(p: Prog) -> Prog:
-    """Flatten sequencing to right-associated form and drop ``skip`` units,
-    recursively.  Idempotent; the structural-equality notion used by proof
-    checking compares programs in this normal form."""
+def units(p: Prog) -> Iterator[Prog]:
+    """The sequencing units of ``p`` left to right, ``skip`` left out: the
+    nodes other than ``Seq`` and ``Empty`` that its ``;`` joins, found with
+    an explicit stack, so any length or grouping of ``;`` is fine."""
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        while isinstance(p, Seq):
+            stack.append(p.second)
+            p = p.first
+        if not isinstance(p, Empty):
+            yield p
 
-    def units(p: Prog, acc: list[Prog]) -> None:
-        if isinstance(p, Seq):
-            units(p.first, acc)
-            units(p.second, acc)
-        elif isinstance(p, Empty):
-            pass
-        else:
-            acc.append(norm_unit(p))
 
-    def norm_unit(p: Prog) -> Prog:
+def seq_of(*parts: Prog) -> Prog:
+    """The parts in sequence, in normal form: their units nested to the
+    right, with loop bodies and choice arms normal.  Idempotent; the
+    structural equality of proof checking compares programs in this form.
+    Walks the units right to left, so each is joined as it is found."""
+    out, stack = None, list(parts)
+    while stack:
+        p = stack.pop()
+        while isinstance(p, Seq):
+            stack.append(p.first)
+            p = p.second
         if isinstance(p, While):
-            return While(p.guard, normalize_program(p.body), p.invariant)
-        if isinstance(p, Choice):
-            return Choice(normalize_program(p.left), normalize_program(p.right))
-        if isinstance(p, Assign):
-            return p
-        raise TypeError(f"not a sequencing unit: {p!r}")
+            p = While(p.guard, seq_of(p.body), p.invariant)
+        elif isinstance(p, Choice):
+            p = Choice(seq_of(p.left), seq_of(p.right))
+        elif isinstance(p, Empty):
+            continue
+        elif not isinstance(p, Assign):
+            raise TypeError(f"not a sequencing unit: {p!r}")
+        out = p if out is None else Seq(p, out)
+    return Empty() if out is None else out
 
-    acc: list[Prog] = []
-    units(p, acc)
-    if not acc:
-        return Empty()
-    out = acc[-1]
-    for unit in reversed(acc[:-1]):
-        out = Seq(unit, out)
-    return out
+
+# the one-part reading under its older name, which perfbench/tracing.py traces
+normalize_program = seq_of
 
 
 def erase_invariants(p: Prog) -> Prog:
     """The program with every loop annotation dropped: the form in which
-    to compare programs when annotations must not count."""
-    if isinstance(p, Seq):
-        return Seq(erase_invariants(p.first), erase_invariants(p.second))
+    to compare programs when annotations must not count.  The shape of
+    sequencing is kept as given."""
+    spine = []
+    while isinstance(p, Seq):
+        spine.append(erase_invariants(p.first))
+        p = p.second
     if isinstance(p, Choice):
-        return Choice(erase_invariants(p.left), erase_invariants(p.right))
-    if isinstance(p, While):
-        return While(p.guard, erase_invariants(p.body))
+        p = Choice(erase_invariants(p.left), erase_invariants(p.right))
+    elif isinstance(p, While):
+        p = While(p.guard, erase_invariants(p.body))
+    for u in reversed(spine):
+        p = Seq(u, p)
     return p
-
-
-class EmptyProgramError(Exception):
-    """Raised when a head/tail split of the empty program is requested."""
-
-
-def decompose_head(p: Prog) -> tuple[Prog, Prog]:
-    """Split a normalized program into its first step and continuation.
-
-    The head is an assignment, loop, or choice; the tail may be ``Empty``.
-    Splitting ``Empty`` itself raises ``EmptyProgramError``.
-    """
-    p = normalize_program(p)
-    if isinstance(p, Empty):
-        raise EmptyProgramError("empty program has no head")
-    if isinstance(p, Seq):
-        return p.first, p.second
-    return p, Empty()
-
-
-def seq_of(first: Prog, second: Prog) -> Prog:
-    """Sequence two programs, in normal form."""
-    return normalize_program(Seq(first, second))
 
 
 # --- lexer ---------------------------------------------------------------
@@ -586,10 +561,13 @@ class _Parser:
     (``x := 1 + y := 2`` is a choice between two assignments).
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, avoid: Iterable[str] = ()):
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        # names an ``if`` flag must not take: every identifier in the
+        # text, the caller's, and the flags drawn so far
+        self.taken = {v for kind, v, _ in self.tokens if kind == "ident"} | set(avoid)
 
     # -- token plumbing --
 
@@ -751,10 +729,7 @@ class _Parser:
         while self.at(";"):
             self.next()
             stmts.append(self.choice())
-        p = stmts[-1]
-        for s in reversed(stmts[:-1]):
-            p = Seq(s, p)
-        return p
+        return seq_of(*stmts)
 
     def choice(self) -> Prog:
         p = self.statement()
@@ -785,7 +760,14 @@ class _Parser:
             then = self.statement()
             self.expect("else")
             orelse = self.statement()
-            return IfSugar(cond, then, orelse)
+            t = fresh_var(self.taken, "t")
+            self.taken.add(t)
+            unset, done = Eq(Var(t), Const(0)), Assign(t, Const(1))
+            return seq_of(
+                Assign(t, Const(0)),
+                While(BAnd(cond, unset), Seq(then, done)),
+                While(BAnd(BNot(cond), unset), Seq(orelse, done)),
+            )
         if self.at("{"):
             self.next()
             p = self.program()
@@ -808,42 +790,13 @@ class _Parser:
             raise ParseError(f"trailing input starting at {got!r}", pos, self.text)
 
 
-def _desugar_if(p: Prog, avoid: set[str]) -> Prog:
-    """Compile conditionals bottom-up; each gets its own fresh flag drawn
-    against the whole program's variables plus flags already used."""
-    if isinstance(p, (Empty, Assign)):
-        return p
-    if isinstance(p, Seq):
-        return Seq(_desugar_if(p.first, avoid), _desugar_if(p.second, avoid))
-    if isinstance(p, While):
-        return While(p.guard, _desugar_if(p.body, avoid), p.invariant)
-    if isinstance(p, Choice):
-        return Choice(_desugar_if(p.left, avoid), _desugar_if(p.right, avoid))
-    if isinstance(p, IfSugar):
-        then = _desugar_if(p.then, avoid)
-        orelse = _desugar_if(p.orelse, avoid)
-        t = fresh_var(avoid, "t")
-        avoid.add(t)
-        t_unset = Eq(Var(t), Const(0))
-        set_t = Assign(t, Const(1))
-        return Seq(
-            Assign(t, Const(0)),
-            Seq(
-                While(BAnd(p.cond, t_unset), Seq(then, set_t)),
-                While(BAnd(BNot(p.cond), t_unset), Seq(orelse, set_t)),
-            ),
-        )
-    raise TypeError(f"not a program: {p!r}")
-
-
-def parse_program(text: str) -> Prog:
-    """Parse program text to normal form (conditionals compiled away,
-    sequencing right-associated, skips dropped)."""
-    parser = _Parser(text)
+def parse_program(text: str, avoid: Iterable[str] = ()) -> Prog:
+    """Parse program text to normal form, compiling each conditional with
+    a flag that is none of ``avoid`` and no identifier of the text."""
+    parser = _Parser(text, avoid)
     p = parser.program()
     parser.done()
-    p = _desugar_if(p, set(prog_vars(p)))
-    return normalize_program(p)
+    return p
 
 
 def parse_assertion(text: str) -> Assertion:
@@ -927,22 +880,17 @@ def print_assertion(a: Assertion, parent: int = 0) -> str:
 
 
 def print_program(p: Prog) -> str:
-    if isinstance(p, Empty):
-        return "skip"
-    if isinstance(p, Assign):
-        return f"{p.name} := {print_expr(p.expr)}"
-    if isinstance(p, Seq):
-        return f"{print_program(p.first)}; {print_program(p.second)}"
-    if isinstance(p, While):
-        inv = f" invariant {print_assertion(p.invariant)}" if p.invariant is not None else ""
-        return f"while {print_bool(p.guard)}{inv} do {{ {print_program(p.body)} }}"
-    if isinstance(p, Choice):
+    return "; ".join(_print_unit(u) for u in units(p)) or "skip"
+
+
+def _print_unit(u: Prog) -> str:
+    if isinstance(u, Assign):
+        return f"{u.name} := {print_expr(u.expr)}"
+    if isinstance(u, While):
+        inv = f" invariant {print_assertion(u.invariant)}" if u.invariant is not None else ""
+        return f"while {print_bool(u.guard)}{inv} do {{ {print_program(u.body)} }}"
+    if isinstance(u, Choice):
         # ';' binds looser than '+', so sequence arms need their own parens
-        left = print_program(p.left)
-        right = print_program(p.right)
-        if isinstance(p.left, Seq):
-            left = f"({left})"
-        if isinstance(p.right, Seq):
-            right = f"({right})"
-        return f"({left} + {right})"
-    raise TypeError(f"not a printable program: {p!r}")
+        arms = [f"({print_program(a)})" if isinstance(a, Seq) else print_program(a) for a in (u.left, u.right)]
+        return f"({arms[0]} + {arms[1]})"
+    raise TypeError(f"not a printable program: {u!r}")

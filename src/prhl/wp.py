@@ -38,7 +38,6 @@ from .syntax import (
     Bool,
     Choice,
     Const,
-    Empty,
     Eq,
     Exists,
     Expr,
@@ -47,7 +46,6 @@ from .syntax import (
     Le,
     Or,
     Prog,
-    Seq,
     Var,
     While,
     canon,
@@ -57,6 +55,7 @@ from .syntax import (
     prog_vars,
     subst,
     subst_bool,
+    units,
 )
 
 
@@ -148,31 +147,34 @@ def _group_base(j: int, l: int, avoid: set[str]) -> str:
 
 
 def _wpr(p: Prog, q: Assertion, req: WprRequest, avoid: set[str], notes: list[str]) -> Assertion:
-    if isinstance(p, Empty):
-        return q
-    if isinstance(p, Assign):
-        return subst(q, [(p.name, p.expr)])
-    if isinstance(p, Seq):
-        return _wpr(p.first, _wpr(p.second, q, req, avoid, notes), req, avoid, notes)
-    if isinstance(p, Choice):
-        return Or(_wpr(p.left, q, req, avoid, notes), _wpr(p.right, q, req, avoid, notes))
-    if isinstance(p, While):
-        if req.loop_mode == "invariant":
-            if p.invariant is None:
-                raise MissingInvariantError("loop has no invariant annotation")
-            notes.append("loop pre-condition taken from invariant annotation")
-            return p.invariant
-        if req.loop_mode == "unroll":
-            notes.append(f"loop unrolled {req.unroll_depth} times; under-approximate")
-            exit_now = And(Bool(BNot(p.guard)), q)
-            w = exit_now
-            for _ in range(req.unroll_depth):
-                w = Or(exit_now, And(Bool(p.guard), _wpr(p.body, w, req, avoid, notes)))
-            return w
-        if req.loop_mode == "beta":
-            return _wpr_loop_beta(p, q, req, avoid, notes)
-        raise ValueError(f"unknown loop mode {req.loop_mode!r}")
-    raise TypeError(f"not a program: {p!r}")
+    for u in reversed(list(units(p))):
+        if isinstance(u, Assign):
+            q = subst(q, [(u.name, u.expr)])
+        elif isinstance(u, Choice):
+            q = Or(_wpr(u.left, q, req, avoid, notes), _wpr(u.right, q, req, avoid, notes))
+        elif isinstance(u, While):
+            q = _wpr_loop(u, q, req, avoid, notes)
+        else:
+            raise TypeError(f"not a program: {u!r}")
+    return q
+
+
+def _wpr_loop(p: While, q: Assertion, req: WprRequest, avoid: set[str], notes: list[str]) -> Assertion:
+    if req.loop_mode == "invariant":
+        if p.invariant is None:
+            raise MissingInvariantError("loop has no invariant annotation")
+        notes.append("loop pre-condition taken from invariant annotation")
+        return p.invariant
+    if req.loop_mode == "unroll":
+        notes.append(f"loop unrolled {req.unroll_depth} times; under-approximate")
+        exit_now = And(Bool(BNot(p.guard)), q)
+        w = exit_now
+        for _ in range(req.unroll_depth):
+            w = Or(exit_now, And(Bool(p.guard), _wpr(p.body, w, req, avoid, notes)))
+        return w
+    if req.loop_mode == "beta":
+        return _wpr_loop_beta(p, q, req, avoid, notes)
+    raise ValueError(f"unknown loop mode {req.loop_mode!r}")
 
 
 def _wpr_loop_beta(p: While, q: Assertion, req: WprRequest, avoid: set[str], notes: list[str]) -> Assertion:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    BudgetedOracle,
     assert_holds,
     entails_ref,
     enumerate_states,
@@ -92,7 +93,7 @@ def test_models_tautology():
 
 
 def test_bounded_oracle_quantifier_budget():
-    o = BoundedOracle(Bounds(3, 100, 4), quantifier_budget=1)
+    o = BudgetedOracle(Bounds(3, 100, 4), quantifier_budget=1)
     v = o.entails(pa("exists y. y = x"), pa("exists z. z = x"))
     assert v.is_unknown
     assert v.reason == "quantifier-bounded" and v.flags == ("quantifier-budget",)

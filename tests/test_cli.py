@@ -86,6 +86,19 @@ def test_run_long_straight_line_program(tmp_path, capsys):
     assert (doc["truncated"], doc["exhausted"]) == (ref.truncated, ref.exhausted) == (False, False)
 
 
+def _steps(n):
+    """n assignments ``x := x + k % 4``, and the x they leave from x = 0."""
+    return ";\n".join(f"x := x + {k % 4}" for k in range(n)), sum(k % 4 for k in range(n))
+
+
+@pytest.mark.parametrize("n", [3000, 10000])
+def test_run_long_program_answers(n, tmp_path, capsys):
+    text, total = _steps(n)
+    assert main(["run", write(tmp_path, "long.while", text), "--format", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"finals": [{"state": {"x": total}, "steps": n}], "truncated": False, "exhausted": False}
+
+
 def test_run_rejects_bad_state_binding(prog_file, capsys):
     assert main(["run", prog_file, "--state", "x3"]) == 3
     assert "bad --state binding" in capsys.readouterr().err
@@ -135,6 +148,23 @@ def test_check_triple_other_logic(tmp_path, capsys):
     assert main(["check-triple", t, "--logic", "partial-hoare"]) == 0
     assert main(["check-triple", t, "--logic", "total-hoare"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [3000, 10000])
+def test_check_triple_long_program_answers(n, tmp_path, capsys):
+    text, total = _steps(n)
+    t = write(tmp_path, "long.triple", f"pre: x = 0\nprog: {text}\npost: x = {total}\n")
+    assert main(["check-triple", t]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+    assert main(["check-triple", t, "--logic", "total-hoare", "--domain-max", "2"]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
+@pytest.mark.parametrize("logic", ["partial-hoare", "total-hoare"])
+def test_if_flag_does_not_capture_a_triple_variable(logic, tmp_path, capsys):
+    t = write(tmp_path, "if.triple", "pre: t = 7\nprog: if x = 0 then { x := 1 } else { x := 2 }\npost: t = 7\n")
+    assert main(["check-triple", t, "--logic", logic]) == 0
+    assert capsys.readouterr().out == "VALID\n"
 
 
 def test_check_triple_unknown(tmp_path, capsys):
@@ -366,6 +396,15 @@ def test_wp_exact(tmp_path, capsys):
     t = write(tmp_path, "w.triple", "pre: true\nprog: x := x + 1; x := x * 2\npost: x = 6\n")
     assert main(["wp", t]) == 0
     assert capsys.readouterr().out == "(x + 1) * 2 = 6\n"
+
+
+def test_wp_long_program(tmp_path, capsys):
+    # 1000 swaps through t, 3000 statements: an even number leaves x and
+    # y where they were, and t ends holding the y it started with
+    swaps = "; ".join("t := x; x := y; y := t" for _ in range(1000))
+    t = write(tmp_path, "swaps.triple", f"pre: true\nprog: {swaps}\npost: x = 1 && y = 2 && t = 3\n")
+    assert main(["wp", t]) == 0
+    assert capsys.readouterr().out == "x = 1 && y = 2 && y = 3\n"
 
 
 def test_wp_unroll_notes(tmp_path, capsys):

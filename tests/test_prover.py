@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gen_prog, unroll_global_ok
+from oracles import BudgetedOracle, gen_prog, unroll_global_ok
 from prhl.assertions import BoundedOracle
 from prhl.certificates import Triple, parse_proof, serialize_proof
 from prhl.checker import check_cprhl, check_prhl, global_soundness
@@ -121,7 +121,7 @@ def test_quantifier_budget_gives_unknown_status():
     t = Triple(pa("true"), pp("while 0 = 0 do { x := x + 1 }; x := 0"), pa("true"))
     res = prove_prhl(
         ProveRequest(t, loop_mode="beta", bounds=Bounds(2, 30, 4)),
-        oracle=BoundedOracle(Bounds(2, 30, 4), quantifier_budget=2),
+        oracle=BudgetedOracle(Bounds(2, 30, 4), quantifier_budget=2),
     )
     assert res.status == "unknown" and not res.ok
     assert res.proof is not None

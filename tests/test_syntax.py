@@ -1,5 +1,6 @@
 """Parser, printers, substitution, and normal forms."""
 
+import functools
 import random
 import weakref
 from dataclasses import fields
@@ -8,7 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_holds, eval_expr, gen_assertion, gen_bool, gen_expr, gen_prog, gen_state, subst_ref, subterms
+from oracles import (
+    assert_holds,
+    denormalize,
+    eval_expr,
+    gen_assertion,
+    gen_bool,
+    gen_expr,
+    gen_prog,
+    gen_state,
+    normalize_ref,
+    quantifier_count,
+    subst_ref,
+    subterms,
+)
 from prhl.assertions import eval_assertion
 from prhl.syntax import (
     Assign,
@@ -18,7 +32,6 @@ from prhl.syntax import (
     Choice,
     Const,
     Empty,
-    EmptyProgramError,
     Eq,
     Exists,
     Le,
@@ -29,7 +42,6 @@ from prhl.syntax import (
     alpha_rename,
     assertion_vars,
     canon,
-    decompose_head,
     erase_invariants,
     free_vars,
     fresh_var,
@@ -40,9 +52,9 @@ from prhl.syntax import (
     print_bool,
     print_program,
     prog_vars,
-    quantifier_count,
     seq_of,
     subst,
+    units,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -77,6 +89,49 @@ def test_if_sugar_desugars_to_flagged_loops():
         == "t := 0; while x = 0 && t = 0 do { x := 1; t := 1 };"
         " while x != 0 && t = 0 do { x := 2; t := 1 }"
     )
+
+
+def test_if_flag_avoids_every_name_in_the_text_and_the_callers():
+    # a compiled conditional starts by clearing its flag
+    branch = "if x = 0 then { x := 1 } else { x := 2 }"
+    assert parse_program(branch).first.name == "t"
+    assert parse_program(branch, avoid={"t", "t_p1"}).first.name == "t_p2"
+    # an identifier only an invariant or a binder mentions counts too
+    loop = parse_program(f"while i < 1 invariant forall t. t = t do {{ {branch}; i := 1 }}")
+    assert loop.body.first.name == "t_p1"
+    # inner conditionals draw first, then left to right
+    nested = parse_program(f"if i = 0 then {{ {branch} }} else {{ {branch} }}; {branch}")
+    assert [u.name for u in units(nested) if isinstance(u, Assign)] == ["t_p2", "t_p3"]
+    then_loop, else_loop = nested.second.first, nested.second.second.first
+    assert (then_loop.body.first.name, else_loop.body.first.name) == ("t", "t_p1")
+
+
+def _if_texts(rng, depth, flags):
+    """Program text with conditionals over ``gen_bool`` guards and
+    ``gen_prog`` statements, and the same program with every conditional
+    written out as loops; ``flags`` yields the flags in drawing order."""
+    pick = rng.random()
+    if depth <= 0 or pick < 0.3:
+        text = print_program(gen_prog(rng, NAMES, 2))
+        return text, text
+    (a, a_out), (b, b_out) = _if_texts(rng, depth - 1, flags), _if_texts(rng, depth - 1, flags)
+    if pick < 0.5:
+        return f"{a}; {b}", f"{a_out}; {b_out}"
+    cond, t = print_bool(gen_bool(rng, NAMES, 2)), next(flags)
+    written = (
+        f"{t} := 0; while ({cond}) && {t} = 0 do {{ {a_out}; {t} := 1 }};"
+        f" while !({cond}) && {t} = 0 do {{ {b_out}; {t} := 1 }}"
+    )
+    return f"if {cond} then {{ {a} }} else {{ {b} }}", written
+
+
+@given(SEEDS)
+@settings(deadline=None)
+def test_if_parses_to_its_written_out_loops(seed):
+    rng = random.Random(seed)
+    flags = iter(["t"] + [f"t_p{k}" for k in range(1, 64)])
+    text, written = _if_texts(rng, 4, flags)
+    assert parse_program(text) is parse_program(written)
 
 
 def test_parse_assertion_shapes():
@@ -204,6 +259,7 @@ def test_canon_idempotent(seed):
 
 
 @given(SEEDS)
+@settings(deadline=None)
 def test_alpha_rename_idempotent_and_meaning_preserving(seed):
     rng = random.Random(seed)
     a = gen_assertion(rng, NAMES, 3, quant=True)
@@ -235,13 +291,28 @@ def test_seq_of_collapses_units():
     assert seq_of(a, a) == Seq(a, a)
 
 
-def test_decompose_head():
-    p = parse_program("x := 1; i := 2; x := 3")
-    h, rest = decompose_head(p)
-    assert h == Assign("x", Const(1))
-    assert print_program(rest) == "i := 2; x := 3"
-    with pytest.raises(EmptyProgramError):
-        decompose_head(Empty())
+@given(SEEDS)
+def test_seq_of_matches_recursive_normalizer(seed):
+    rng = random.Random(seed)
+    p = gen_prog(rng, NAMES, 4)
+    raw = denormalize(rng, p)
+    assert seq_of(raw) is normalize_ref(raw) is normalize_ref(p)
+    parts = [denormalize(rng, gen_prog(rng, NAMES, 2)) for _ in range(rng.randrange(4))]
+    assert seq_of(*parts) is normalize_ref(functools.reduce(Seq, parts, Empty()))
+
+
+def test_units_walk_any_nesting():
+    a, b, c = (Assign("x", Const(k)) for k in range(3))
+    assert list(units(Seq(Seq(Empty(), a), Seq(Seq(b, Empty()), c)))) == [a, b, c]
+    assert list(units(Empty())) == [] and list(units(a)) == [a]
+    # length costs no stack depth, nested to either side
+    steps = [Assign("x", BinOp("+", Var("x"), Const(k))) for k in range(10000)]
+    left = functools.reduce(Seq, steps)
+    assert list(units(left)) == steps
+    p = seq_of(left)
+    assert p is seq_of(*steps) and list(units(p)) == steps
+    assert parse_program(print_program(p)) is p
+    assert prog_vars(p) == {"x"} and erase_invariants(p) is p
 
 
 def test_vars_helpers():

@@ -33,6 +33,10 @@ from .checker import CheckReport, check_cprhl, check_prhl
 from .prover import LOOP_MODES, ProveRequest, prove_prhl, transform_to_cyclic
 from .semantics import (
     LOGICS,
+    STEP_DEPTH,
+    VALUE_BIT_CAP,
+    VALUE_WIDTH,
+    WORK_CAP,
     Bounds,
     State,
     Verdict,
@@ -181,6 +185,14 @@ def _report_exit(report: CheckReport) -> int:
 # --- subcommands ------------------------------------------------------------
 
 
+# what cut a run, in its note
+_CUT = {
+    STEP_DEPTH: "step budget exhausted",
+    WORK_CAP: "work cap on explored configurations reached",
+    VALUE_WIDTH: f"a value outgrew {VALUE_BIT_CAP} bits",
+}
+
+
 def _cmd_run(args) -> int:
     bounds = _bounds_of(args)
     with open(args.file, encoding="utf-8") as fh:
@@ -213,7 +225,7 @@ def _cmd_run(args) -> int:
         if not finals:
             print("(no terminating run)")
         if res.exhausted:
-            print("note: step budget exhausted; the list may be incomplete")
+            print(f"note: {_CUT[res.cause]}; the list may be incomplete")
         elif res.truncated:
             print("note: non-terminating cycles pruned; the list is exact")
     return 2 if res.exhausted else 0

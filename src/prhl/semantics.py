@@ -22,10 +22,16 @@ first) and are those of the small-step relation.  All exploration is
 breadth-first over configurations with dedup, so the reported distance
 of a final store is the minimal run length reaching it.
 Validity questions are decided by enumerating initial stores over the
-variables that occur in the triple, each component in 0..domain_max;
-intermediate values may grow past domain_max.  Verdicts are therefore
-relative to the bounds, and a verdict degrades to Unknown whenever the
-step budget cut exploration or a quantifier bound could hide or fake a
+variables that occur in the triple, each component in 0..domain_max
+where it is live (``syntax.live_vars``: the pre reads it, or a run may
+read it or leave it for the post before writing it) and 0 elsewhere;
+intermediate values may grow past domain_max.  A name that is not live
+never steers a run nor reaches the pre or the post, so the stores left
+out answer as their twin at 0, which comes first in box order (save
+where a cap cuts the two apart; see ``check_triple``).  Verdicts
+are therefore relative to the bounds, and a verdict degrades to Unknown,
+naming the cap, whenever the step bound, the work cap or the value width
+cut exploration, or a quantifier bound, could hide or fake a
 counterexample.
 """
 
@@ -69,6 +75,7 @@ from .syntax import (
     erase_invariants,
     expr_vars,
     free_vars,
+    live_vars,
     prog_vars,
     seq_of,
     subst,
@@ -224,17 +231,17 @@ def _pin(x: str, c: Assertion) -> tuple[Expr, Expr | None] | None:
     return None
 
 
-def _range_top(x: str, body: Assertion, univ: bool) -> Expr | None:
-    """``e`` (or ``e - 1``) for the first guard ``x <= e`` (or ``x < e``)
-    that ``body`` needs: past it, ``x`` makes the body vacuous."""
-    var = Var(x)
+def _range_tops(x: str, body: Assertion, univ: bool) -> list[Expr]:
+    """``e`` (or ``e - 1``) for every guard ``x <= e`` (or ``x < e``) that
+    ``body`` needs: past the least of them, ``x`` makes the body vacuous."""
+    var, tops = Var(x), []
     for c in _needs(body, univ):
         b = c.expr if isinstance(c, Bool) else None
         if isinstance(b, Le) and b.left is var and x not in expr_vars(b.right):
-            return b.right
+            tops.append(b.right)
         if isinstance(b, BNot) and isinstance(b.arg, Le) and b.arg.right is var and x not in expr_vars(b.arg.left):
-            return BinOp("-", b.arg.left, Const(1))  # truncated: e = 0 tries 0 only, vacuously
-    return None
+            tops.append(BinOp("-", b.arg.left, Const(1)))  # truncated: e = 0 tries 0 only, vacuously
+    return tops
 
 
 def exact_ranges() -> Callable[[Assertion], Assertion]:
@@ -251,7 +258,7 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
       ``exists x. x = e && A`` is ``A[x:=e]``; ``x + t = e`` is read as
       ``t <= e && x = e - t``.
 
-    Guards are left for ``_range_top``; ``canon`` packs what changed."""
+    Guards are left for ``_range_tops``; ``canon`` packs what changed."""
     memo: dict = {}
     fvs: dict = {}
 
@@ -310,8 +317,8 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
 def _compile_assertion(a: Assertion, slot: Mapping[str, int], qb: int, neg: bool) -> Evaluator:
     """``a`` (negated if ``neg``) by the dualities And = ¬(¬l ∨ ¬r),
     Implies = ¬l ∨ r and Forall = ¬∃¬; negation keeps the flag.  A
-    quantifier ranges over ``0..min(top, qb)``, where ``top`` is its
-    range guard's bound or, unguarded, ``qb + 1``; the value is flagged
+    quantifier ranges over ``0..min(top, qb)``, where ``top`` is the least
+    of its range guards' bounds or, unguarded, ``qb + 1``; the value is flagged
     when some value in range gave a flagged body, or ``top > qb`` and
     no certain witness came up."""
     if isinstance(a, Bool):
@@ -339,8 +346,11 @@ def _compile_assertion(a: Assertion, slot: Mapping[str, int], qb: int, neg: bool
     if isinstance(a, (Exists, Forall)):
         univ = isinstance(a, Forall)
         i, f = slot[a.var], _compile_assertion(a.body, slot, qb, univ)
-        top = _range_top(a.var, a.body, univ)
-        hi = (lambda st: qb + 1) if top is None else _compile_expr(top, slot)
+        tops = [_compile_expr(e, slot) for e in _range_tops(a.var, a.body, univ)]
+        if len(tops) > 1:
+            hi = lambda st: min(t(st) for t in tops)
+        else:
+            hi = tops[0] if tops else (lambda st: qb + 1)
         neg = neg != univ
 
         def some(st):
@@ -462,19 +472,31 @@ def _onto(q: Prog, t: Prog) -> Prog:
 # --- bounded run exploration ----------------------------------------------------
 
 
+# what cut a run, as the reason of the Unknown verdict it leads to: the
+# step bound, the work cap on explored configurations, or VALUE_BIT_CAP
+STEP_DEPTH = "step-budget-exhausted"
+WORK_CAP = "work-cap-exhausted"
+VALUE_WIDTH = "value-width-exhausted"
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Final stores with their minimal run lengths, in the order they
     were reached: ``State``s from ``run_all``, store tuples from
-    ``explore``.  ``exhausted``: the step budget, the work cap or
-    ``VALUE_BIT_CAP`` cut some run, and ``finals`` may be incomplete.
-    ``truncated``: exhausted, or some configuration reaches itself (an
-    infinite run exists; runs merging into one configuration are not).
+    ``explore``.  ``cause``: the cap that cut some run (``STEP_DEPTH``
+    before ``VALUE_WIDTH`` when both did), after which ``finals`` may be
+    incomplete, or None.  ``truncated``: exhausted, or some configuration
+    reaches itself (an infinite run exists; runs merging into one
+    configuration are not).
     """
 
     finals: dict
     truncated: bool
-    exhausted: bool
+    cause: str | None
+
+    @property
+    def exhausted(self) -> bool:
+        return self.cause is not None
 
 
 def run_all(p: Prog | Compiled, s: State, step_bound: int) -> RunResult:
@@ -486,14 +508,14 @@ def run_all(p: Prog | Compiled, s: State, step_bound: int) -> RunResult:
     if not given.keys() <= set(c.names):
         raise ValueError(f"run_all: store variables {sorted(given.keys() - set(c.names))} not compiled")
     r = explore(c, tuple(given.get(n, 0) for n in c.names), step_bound)
-    return RunResult({State(zip(c.names, f)): n for f, n in r.finals.items()}, r.truncated, r.exhausted)
+    return RunResult({State(zip(c.names, f)): n for f, n in r.finals.items()}, r.truncated, r.cause)
 
 
 def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
     """``run_all`` on a store tuple indexed like ``c.names``; the finals
     are store tuples."""
     if c.start == 0:
-        return RunResult({store: 0}, False, False)
+        return RunResult({store: 0}, False, None)
     steps = c.steps
     cfg0 = (c.start, store)
     # assignments check the value they store; only the initial store can
@@ -507,7 +529,7 @@ def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
     depth = 0
     # depth alone cannot bound work: a value-diverging choice under a live
     # guard doubles the frontier every level, so total visited configurations
-    # are capped as well; tripping either cap reports exhausted, like depth
+    # are capped as well
     work_cap = 8 * step_bound + 16384
 
     while frontier and depth < step_bound:
@@ -523,7 +545,7 @@ def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
                     overflow = True
                     continue
                 if len(visited) >= work_cap:
-                    return RunResult(finals, True, True)
+                    return RunResult(finals, True, WORK_CAP)
                 visited[succ] = depth
                 if succ[0]:
                     nxt.append(succ)
@@ -531,10 +553,10 @@ def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
                     finals[succ[1]] = depth
         frontier = nxt
         dirty = False
-    exhausted = bool(frontier) or overflow
+    cause = STEP_DEPTH if frontier else VALUE_WIDTH if overflow else None
     # every cycle has an edge that does not lead one level deeper
-    cycle = not exhausted and back and c.cyclic and _reaches_itself(steps, visited)
-    return RunResult(finals, exhausted or cycle, exhausted)
+    cycle = cause is None and back and c.cyclic and _reaches_itself(steps, visited)
+    return RunResult(finals, cause is not None or cycle, cause)
 
 
 def _over_cap(values: Iterable[int]) -> bool:
@@ -567,7 +589,9 @@ class Verdict:
 
     kind is one of valid / invalid / unknown.  Invalid carries a witness:
     a single store or an (initial, final) pair depending on the question.
-    Unknown carries a reason, step-budget-exhausted or quantifier-bounded.
+    Unknown carries a reason: the cap that cut a run where a
+    counterexample could hide (step-budget-exhausted, work-cap-exhausted or
+    value-width-exhausted), or quantifier-bounded.
     flags records quantifier bounds that were hit on the way to a valid
     answer (the answer is then bound-relative).
     """
@@ -629,15 +653,30 @@ def check_triple(
     eval_post = functools.cache(post_of)
 
     # rows: (s0, s0 in the pre, that bound-relative, the runs from s0) for
-    # every s0 in the box, so a query costs the same whatever share of the
-    # box its pre holds on
+    # every s0 in the box whose names outside the live set are 0, so a
+    # query costs the same whatever share of the box its pre holds on.  A
+    # name is live when the pre reads it or some run may read it (in a
+    # guard or an assigned value) or leave it for the post before writing
+    # it; incorrectness compares whole finals, so there every name is left
+    # for the post.  The others never steer a run nor reach the pre or the
+    # post, so each store of the full box has the same label paths, the
+    # same finals on the live-out names at the same least depths as its
+    # twin with them at 0, which comes first in box order: the same
+    # verdict and witness.  Only a cap can tell the two apart, as their
+    # configurations that differ in a dead name merge on one side and not
+    # on the other: the work cap, or the step bound at the very depth
+    # where one run comes back to a configuration it has visited.  Then
+    # one of the two answers is Unknown for that cap; neither is unsound.
+    out = names if logic == "incorrectness" else free_vars(post)
+    live = free_vars(pre) | live_vars(prog, out)
+    axes = [range(bounds.domain_max + 1) if n in live else (0,) for n in names]
     rows = []
-    for s0 in store_tuples(names, bounds.domain_max):
+    for s0 in itertools.product(*axes):
         pv, pfl = pre_of(s0)
         rows.append((s0, pv, pfl, explore(compiled, s0, bounds.step_bound)))
 
     clean: list[tuple] = []  # (depth/index, index, final, stores of the witness)
-    budget_risk = False  # exploration cut where a counterexample could hide
+    budget_risk = None  # the cap that cut a run where a counterexample could hide
     quant_risk = False  # quantifier bound touched a potential counterexample
 
     if logic in ("partial-reverse", "partial-hoare"):
@@ -647,8 +686,7 @@ def check_triple(
         for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
             if pre_true != hoare and not pre_flags:
                 continue  # s0 certainly cannot witness
-            if r.exhausted:
-                budget_risk = True
+            budget_risk = budget_risk or r.cause
             for f, depth in r.finals.items():
                 fv, ffl = eval_post(f)
                 if fv == hoare and not ffl:
@@ -666,7 +704,7 @@ def check_triple(
             if any(v and not fl for v, fl in finals):
                 continue  # certainly has a run into the post
             if r.exhausted:
-                budget_risk = True
+                budget_risk = budget_risk or r.cause
             elif pre_true and not pre_flags and not any(v or fl for v, fl in finals):
                 clean.append((idx, 0, (), (s0,)))
             else:
@@ -675,19 +713,19 @@ def check_triple(
         # counterexample: a post store (in the box) no pre store reaches
         reach_cert: set[tuple] = set()
         reach_poss: set[tuple] = set()
-        poss_exhausted = False
+        poss_cut = None
         for _, pre_true, pre_flags, r in rows:
             if pre_true and not pre_flags:
                 reach_cert.update(r.finals)
             if pre_true or pre_flags:
                 reach_poss.update(r.finals)
-                poss_exhausted = poss_exhausted or r.exhausted
+                poss_cut = poss_cut or r.cause
         for idx, f in enumerate(store_tuples(names, bounds.domain_max)):
             fv, ffl = eval_post(f)
             if not fv and not ffl or f in reach_cert:
                 continue
-            if poss_exhausted:
-                budget_risk = True
+            if poss_cut:
+                budget_risk = poss_cut
             elif fv and not ffl and f not in reach_poss:
                 clean.append((idx, 0, (), (f,)))
             else:
@@ -699,7 +737,7 @@ def check_triple(
         witness = tuple(State(zip(names, st)) for st in stores)
         return Verdict("invalid", witness=witness if len(witness) == 2 else witness[0])
     if budget_risk:
-        return Verdict("unknown", reason="step-budget-exhausted")
+        return Verdict("unknown", reason=budget_risk)
     if quant_risk:
         return Verdict("unknown", reason="quantifier-bounded")
     return Verdict("valid")

@@ -274,6 +274,28 @@ def prog_vars(p: Prog) -> frozenset[str]:
     return frozenset(out)
 
 
+def live_vars(p: Prog, out: Iterable[str]) -> frozenset[str]:
+    """The variables live on entry to ``p`` when ``out`` are live after it
+    (backward live-variable analysis): those that some run may read, in a
+    guard or an assigned expression, or leave for ``out`` before writing
+    them.  A loop is live in the least fixpoint of its guard, what is live
+    after it and what its body needs to come round again."""
+    live = frozenset(out)
+    for u in reversed(list(units(p))):
+        if isinstance(u, Assign):
+            live = live - {u.name} | expr_vars(u.expr)
+        elif isinstance(u, Choice):
+            live = live_vars(u.left, live) | live_vars(u.right, live)
+        elif isinstance(u, While):
+            head = bool_vars(u.guard) | live
+            while (grown := head | live_vars(u.body, head)) != head:
+                head = grown
+            live = head
+        else:
+            raise TypeError(f"not a program: {u!r}")
+    return live
+
+
 def free_vars(a: Assertion) -> frozenset[str]:
     if isinstance(a, Bool):
         return bool_vars(a.expr)

@@ -21,7 +21,18 @@ from prhl.assertions import BoundedOracle, eval_assertion
 from prhl.certificates import CyclicPreProof, ProofNode, Triple
 from prhl.checker import check_prhl
 from prhl.prover import ProveRequest, prove_prhl
-from prhl.semantics import VALUE_BIT_CAP, Bounds, RunResult, State, Verdict, check_triple, run_all
+from prhl.semantics import (
+    STEP_DEPTH,
+    VALUE_BIT_CAP,
+    VALUE_WIDTH,
+    WORK_CAP,
+    Bounds,
+    RunResult,
+    State,
+    Verdict,
+    check_triple,
+    run_all,
+)
 from prhl.syntax import (
     And,
     Assign,
@@ -353,7 +364,7 @@ def run_all_ref(p: Prog, s: State, step_bound: int) -> RunResult:
     depth = 0
     work_cap = 8 * step_bound + 16384
     if isinstance(p, Empty):
-        return RunResult({s: 0}, False, False)
+        return RunResult({s: 0}, False, None)
     while frontier and depth < step_bound:
         depth += 1
         nxt: list[Config] = []
@@ -367,15 +378,15 @@ def run_all_ref(p: Prog, s: State, step_bound: int) -> RunResult:
                     overflow = True
                     continue
                 if len(visited) >= work_cap:
-                    return RunResult(finals, True, True)
+                    return RunResult(finals, True, WORK_CAP)
                 visited.add(succ)
                 if isinstance(q, Empty):
                     finals.setdefault(s2, depth)
                 else:
                     nxt.append(succ)
         frontier = nxt
-    exhausted = bool(frontier) or overflow
-    return RunResult(finals, exhausted or cycle, exhausted)
+    cause = STEP_DEPTH if frontier else VALUE_WIDTH if overflow else None
+    return RunResult(finals, cause is not None or cycle, cause)
 
 
 def has_cycle_ref(p: Prog, s: State) -> bool:
@@ -557,12 +568,12 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds, evaluate
     qb = bounds.quant_bound
     box = list(enumerate_states(names, bounds.domain_max))
     rows = [(s0, *evaluate(pre, s0, qb), run_all_ref(prog, s0, bounds.step_bound)) for s0 in box]
-    clean, budget_risk, quant_risk = [], False, False
+    clean, budget_risk, quant_risk = [], None, False  # budget_risk: the first cut row's cause
     if logic in ("partial-reverse", "partial-hoare"):
         hoare = logic == "partial-hoare"
         for idx, (s0, pv, pfl, r) in enumerate(rows):
             if pv == hoare or pfl:
-                budget_risk = budget_risk or r.exhausted
+                budget_risk = budget_risk or r.cause
                 for f, depth in r.finals.items():
                     fv, ffl = evaluate(post, f, qb)
                     if fv != hoare or ffl:
@@ -576,7 +587,7 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds, evaluate
             if not (pv or pfl) or any(v and not fl for v, fl in finals):
                 continue
             if r.exhausted:
-                budget_risk = True
+                budget_risk = budget_risk or r.cause
             elif pv and not pfl and not any(v or fl for v, fl in finals):
                 clean.append((idx, (), (), s0))
             else:
@@ -584,12 +595,12 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds, evaluate
     else:
         cert = {f for s0, pv, pfl, r in rows if pv and not pfl for f in r.finals}
         poss = {f for s0, pv, pfl, r in rows if pv or pfl for f in r.finals}
-        poss_exhausted = any(r.exhausted for s0, pv, pfl, r in rows if pv or pfl)
+        poss_cut = next((r.cause for s0, pv, pfl, r in rows if (pv or pfl) and r.exhausted), None)
         for idx, f in enumerate(box):
             fv, ffl = evaluate(post, f, qb)
             if (fv or ffl) and f not in cert:
-                if poss_exhausted:
-                    budget_risk = True
+                if poss_cut:
+                    budget_risk = poss_cut
                 elif fv and not ffl and f not in poss:
                     clean.append((idx, (), (), f))
                 else:
@@ -597,7 +608,7 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds, evaluate
     if clean:
         return Verdict("invalid", witness=min(clean, key=lambda t: t[:3])[3])
     if budget_risk:
-        return Verdict("unknown", reason="step-budget-exhausted")
+        return Verdict("unknown", reason=budget_risk)
     if quant_risk:
         return Verdict("unknown", reason="quantifier-bounded")
     return Verdict("valid")

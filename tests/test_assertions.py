@@ -15,6 +15,7 @@ from oracles import (
     gen_bool,
     gen_state,
     models_tautology,
+    past_bound,
 )
 from prhl.assertions import BoundedOracle, entails, eval_assertion
 from prhl.semantics import Bounds, State, Verdict
@@ -53,6 +54,25 @@ def test_eval_quantifiers_and_flags():
     assert eval_assertion(pa("forall y. y < x -> exists z. 20 + y <= z * z"), t, 4) == (False, True)
     assert eval_assertion(pa("forall y. y <= 20"), s, 16) == (True, True)
     assert eval_assertion(pa("forall y. y <= 3"), s, 16) == (False, False)
+
+
+def test_range_ends_at_the_least_guard_in_either_order():
+    # past y < x the body is vacuous whatever y < 100 says, so the range
+    # is 0..2 at x = 3 and the value exact, whichever guard comes first
+    s = State(x=3)
+    for text in ("forall y. y < 100 && y < x -> y * y < 10", "forall y. y < x && y < 100 -> y * y < 10"):
+        assert eval_assertion(pa(text), s, 16) == (True, False)
+        # 100 is past the walker's cap: it sees the range term and declines
+        assert past_bound(pa(text), s, 16) is None
+        assert exactness_error(pa(text), s, 16) is None
+    for text in ("exists y. y <= 20 && y <= x && y * y = 16", "exists y. y <= x && y <= 20 && y * y = 16"):
+        assert eval_assertion(pa(text), State(x=3), 16) == (False, False)
+        assert eval_assertion(pa(text), State(x=4), 16) == (True, False)
+    # past_bound covers every range term: 20 as well as x
+    for text in ("forall y. y < 20 && y < x -> y * y < 10", "forall y. y < x && y < 20 -> y * y < 10"):
+        assert past_bound(pa(text), s, 16) == 20
+        assert eval_assertion(pa(text), s, 16) == (True, False)
+        assert exactness_error(pa(text), s, 16) is None
 
 
 def test_eval_short_circuit_skips_flagged_branch():

@@ -59,6 +59,36 @@ def test_run_notes_and_exit_codes(tmp_path, capsys):
     assert "step budget exhausted" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text, state, note",
+    [
+        ("while 0 = 0 do { x := x + 1 }", [], "step budget exhausted"),
+        ("while 0 = 0 do { (x := 2 * x + x := 2 * x + 1) }", [], "work cap on explored configurations reached"),
+        ("while i < 2 do { x := x * (2 * x) }", ["--state", "x=2"], "a value outgrew 512 bits"),
+    ],
+)
+def test_run_note_names_the_cap(text, state, note, tmp_path, capsys):
+    prog = write(tmp_path, "cut.while", text)
+    assert main(["run", prog, "--step-bound", "500", *state]) == 2
+    assert capsys.readouterr().out == f"(no terminating run)\nnote: {note}; the list may be incomplete\n"
+    assert main(["run", prog, "--step-bound", "500", *state, "--format", "machine"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["finals"], doc["truncated"], doc["exhausted"]) == ([], True, True)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("while 0 = 0 do { (x := 2 * x + x := 2 * x + 1) }", "work-cap-exhausted"),
+        ("x := x + 2; while i < 2 do { x := x * (2 * x) }", "value-width-exhausted"),
+    ],
+)
+def test_check_triple_unknown_names_the_cap(text, reason, tmp_path, capsys):
+    t = write(tmp_path, "cut.triple", f"pre: false\nprog: {text}\npost: true\n")
+    assert main(["check-triple", t, "--step-bound", "500", "--domain-max", "1"]) == 2
+    assert capsys.readouterr().out == f"UNKNOWN ({reason})\n"
+
+
 def test_run_join_is_not_a_cycle(tmp_path, capsys):
     join = write(tmp_path, "join.while", "x := 1 + x := 2; x := 0")
     assert main(["run", join]) == 0

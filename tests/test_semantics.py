@@ -16,6 +16,7 @@ from oracles import (
     eval_expr,
     exactness_error,
     gen_assertion,
+    gen_bool,
     gen_prog,
     gen_state,
     has_cycle_ref,
@@ -25,8 +26,12 @@ from oracles import (
     step_ref,
     transformer_set,
 )
+from prhl import semantics
 from prhl.semantics import (
     LOGICS,
+    STEP_DEPTH,
+    VALUE_WIDTH,
+    WORK_CAP,
     Bounds,
     State,
     Verdict,
@@ -42,11 +47,17 @@ from prhl.syntax import (
     Assign,
     Bool,
     Choice,
+    Const,
     Empty,
     Seq,
+    free_vars,
+    live_vars,
     parse_assertion,
     parse_program,
+    print_bool,
+    print_program,
     prog_vars,
+    seq_of,
 )
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -248,7 +259,7 @@ def _agrees_with_reference(p, s0, step_bound, compiled=None):
     got = run_all(p if compiled is None else compiled, s0, step_bound)
     want = run_all_ref(p, s0, step_bound)
     assert list(got.finals.items()) == list(want.finals.items())
-    assert got.exhausted == want.exhausted
+    assert got.cause == want.cause
     if got.exhausted:
         assert got.truncated
     else:
@@ -615,3 +626,155 @@ def test_partial_hoare_verdict_matches_reference_search(seed):
         assert ref is not None and ref[0] == run_all(p, v.witness[0], 500).finals[v.witness[1]]
     elif v.is_valid:
         assert ref is None
+
+
+# --- liveness-pruned boxes --------------------------------------------------------
+
+CAPS = (STEP_DEPTH, WORK_CAP, VALUE_WIDTH)
+
+
+def _gen_with_dead_names(rng):
+    """A program over x and i, and t and u that no pre or post reads, with
+    names dead on entry: a flag-style ``t := c`` prefix, a written-out
+    ``if`` (its flag drawn by the parser), or names only the program has."""
+    names = NAMES + ["t", "u"]
+    rest = gen_prog(rng, names, 2)
+    pick = rng.random()
+    if pick < 0.35:
+        return seq_of(Assign("t", Const(rng.randrange(2))), rest)
+    if pick < 0.7:
+        arms = [print_program(gen_prog(rng, names, 1, loops=False)) for _ in range(2)]
+        text = f"if {print_bool(gen_bool(rng, names, 1))} then {{ {arms[0]} }} else {{ {arms[1]} }}"
+        return seq_of(parse_program(text), rest)
+    return rest
+
+
+def _live_box(logic, pre, p, post):
+    out = relevant_vars(pre, p, post) if logic == "incorrectness" else free_vars(post)
+    return free_vars(pre) | live_vars(p, out)
+
+
+def _cut_apart(logic, pre, p, post, b) -> bool:
+    """Whether a cap cuts some store of the full box otherwise than its
+    twin with every name outside the live set at 0."""
+    live = _live_box(logic, pre, p, post)
+    for s in enumerate_states(relevant_vars(pre, p, post), b.domain_max):
+        twin = State({n: v for n, v in s.as_dict().items() if n in live})
+        if run_all_ref(p, s, b.step_bound).cause != run_all_ref(p, twin, b.step_bound).cause:
+            return True
+    return False
+
+
+@given(SEEDS)
+@settings(max_examples=50, deadline=None)
+def test_pruned_box_matches_full_box_reference(seed):
+    # kind, witness, reason and flags in all four logics, against the
+    # reference over the whole box, on programs with dead names; they may
+    # differ only where a cap cuts a store and its twin apart, and then one
+    # side is decided and the other Unknown for that cap
+    rng = random.Random(seed)
+    p = _gen_with_dead_names(rng)
+    pre = gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True)
+    post = gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True)
+    b = Bounds(domain_max=rng.randrange(1, 3), step_bound=rng.choice([3, 6, 40, 500]), quant_bound=rng.randrange(4))
+    for logic in LOGICS:
+        got = check_triple(logic, pre, p, post, b)
+        ref = check_triple_ref(logic, pre, p, post, b, evaluate=eval_assertion)
+        if got != ref:
+            assert _cut_apart(logic, pre, p, post, b)
+            assert any(v.is_unknown and v.reason in CAPS for v in (got, ref))
+
+
+def test_pruned_box_differs_only_where_a_cap_cuts():
+    # x is never read: from x = 1 the loop needs one more step to come back
+    # to a configuration it has visited than from x = 0, so a step bound of
+    # 3 cuts the full box's store x = 1 but not its twin x = 0 in the pruned
+    # box; the twin's answer holds for both, since neither run terminates
+    pre, p, post = parse_assertion("y = 1"), parse_program("while 0 = 0 do { x := 0 }"), parse_assertion("true")
+    b = Bounds(2, 3, 4)
+    assert _cut_apart("partial-reverse", pre, p, post, b)
+    assert check_triple("partial-reverse", pre, p, post, b) == Verdict("valid")
+    assert check_triple_ref("partial-reverse", pre, p, post, b) == Verdict("unknown", reason=STEP_DEPTH)
+    b = Bounds(2, 4, 4)
+    assert not _cut_apart("partial-reverse", pre, p, post, b)
+    assert check_triple("partial-reverse", pre, p, post, b) == check_triple_ref("partial-reverse", pre, p, post, b)
+
+
+def _finals_on(r, out):
+    """The finals of ``r`` projected on ``out``, each at its least depth."""
+    least: dict = {}
+    for f, n in r.finals.items():
+        key = tuple(f.get(v) for v in sorted(out))
+        least[key] = min(n, least.get(key, n))
+    return least
+
+
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_dead_names_never_reach_the_live_out(seed):
+    # from s and from s[x:=v], x dead on entry: the same finals on the
+    # live-out names, each at the same least depth, whatever the step
+    # bound cuts (the work cap cuts finals at random and is left out)
+    rng = random.Random(seed)
+    names = NAMES + ["t", "u"]
+    p = _gen_with_dead_names(rng) if rng.random() < 0.5 else gen_prog(rng, names, 3)
+    out = {n for n in names if rng.random() < 0.5}
+    s = gen_state(rng, names, 3)
+    step_bound = rng.choice((2, 5, 9, 40, 400))
+    base = run_all(p, s, step_bound)
+    for x in sorted(set(names) - live_vars(p, out)):
+        for v in range(4):
+            other = run_all(p, s.set(x, v), step_bound)
+            if WORK_CAP not in (base.cause, other.cause):
+                assert _finals_on(other, out) == _finals_on(base, out)
+
+
+TWO_IFS = "if x < 3 then { y := 1 } else { y := 2 }; if y = 1 then { z := x } else { z := 0 }"
+
+
+def test_two_ifs_enumerate_only_the_live_names(monkeypatch):
+    # t and t_p1, the flags, are written before they are read: 9^3 stores
+    # over x, y and z instead of 9^5, with the full box's verdicts
+    pre, p, post = parse_assertion("x < 3"), parse_program(TWO_IFS), parse_assertion("z = x")
+    assert relevant_vars(pre, p, post) == ["t", "t_p1", "x", "y", "z"]
+    real, calls = semantics.explore, []
+    monkeypatch.setattr(semantics, "explore", lambda *a: calls.append(a) or real(*a))
+    pruned = {}
+    for logic in LOGICS:
+        calls.clear()
+        pruned[logic] = check_triple(logic, pre, p, post, Bounds())
+        assert len(calls) == 9**3
+    # the full box: every name live
+    monkeypatch.setattr(semantics, "live_vars", lambda prog, out: prog_vars(prog) | frozenset(out))
+    for logic in LOGICS:
+        calls.clear()
+        assert check_triple(logic, pre, p, post, Bounds()) == pruned[logic]
+        assert len(calls) == 9**5
+    # finals with z = x come only from x < 3; the post store {} (x = z = 0,
+    # y = 0) is reached by no run, since every run leaves y at 1 or 2
+    assert [pruned[logic] for logic in LOGICS] == [Verdict("valid")] * 3 + [Verdict("invalid", witness=State())]
+
+
+# --- what cut a run ----------------------------------------------------------------
+
+CUTS = [
+    ("while 0 = 0 do { x := x + 1 }", State(), STEP_DEPTH),
+    # the frontier doubles every iteration, and the work cap ends it first
+    ("while 0 = 0 do { (x := 2 * x + x := 2 * x + 1) }", State(), WORK_CAP),
+    ("while i < 2 do { x := x * (2 * x) }", State(x=2), VALUE_WIDTH),
+]
+
+
+@pytest.mark.parametrize("text, s0, cause", CUTS)
+def test_run_all_names_the_cap(text, s0, cause):
+    r = run_all(parse_program(text), s0, 500)
+    assert r.cause == cause and r.exhausted and r.truncated
+    assert run_all_ref(parse_program(text), s0, 500).cause == cause
+
+
+@pytest.mark.parametrize("text, s0, cause", CUTS)
+def test_check_triple_names_the_cap(text, s0, cause):
+    # no store of the box {i, x} in 0..1 terminates, and each is a candidate
+    v = check_triple("partial-reverse", parse_assertion("false"), parse_program(text), parse_assertion("true"),
+                     Bounds(1, 500, 16))
+    assert v == Verdict("unknown", reason=cause)

@@ -45,6 +45,7 @@ from prhl.syntax import (
     erase_invariants,
     free_vars,
     fresh_var,
+    live_vars,
     normalize_program,
     parse_assertion,
     parse_program,
@@ -321,6 +322,34 @@ def test_vars_helpers():
     a = parse_assertion("exists x. x = z")
     assert free_vars(a) == frozenset({"z"})
     assert assertion_vars(a) == frozenset({"x", "z"})
+
+
+@pytest.mark.parametrize(
+    "text, out, live",
+    [
+        # an assignment kills its target and reads its expression
+        ("x := y + 1", {"x"}, {"y"}),
+        ("x := y + 1", {"z"}, {"y", "z"}),
+        ("x := x + 1", {"x"}, {"x"}),
+        ("t := 0; x := t", {"x"}, set()),
+        ("x := 1; y := x; x := z", {"x", "y"}, {"z"}),
+        # a choice is live in either arm
+        ("(x := y + x := 1)", {"x"}, {"y"}),
+        ("(x := 1 + y := 1)", {"x", "y"}, {"x", "y"}),
+        # a loop: its guard, what is live after it, and what its body reads
+        # before writing on the way round, to a fixpoint
+        ("while j < 3 do { x := 1 }", {"x"}, {"j", "x"}),
+        ("while i < 3 do { x := y; y := z; i := i + 1 }", {"x"}, {"i", "x", "y", "z"}),
+        ("while i < 3 do { x := y; y := z; i := i + 1 }", set(), {"i", "y", "z"}),
+        ("while i < 3 do { while j < 2 do { j := j + k }; k := m; i := i + 1 }", set(), {"i", "j", "k", "m"}),
+        # an if's flag is written before it is read
+        ("if x < 3 then { y := 1 } else { y := 2 }; if y = 1 then { z := x } else { z := 0 }", {"x", "z"},
+         {"x", "y", "z"}),
+        ("skip", {"x"}, {"x"}),
+    ],
+)
+def test_live_vars(text, out, live):
+    assert live_vars(parse_program(text), out) == live
 
 
 # --- interned nodes ---------------------------------------------------------------

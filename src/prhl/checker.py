@@ -29,6 +29,7 @@ passes through a rule that consumes program progress.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .assertions import BoundedOracle
 from .certificates import (
@@ -117,14 +118,19 @@ def _id_order(nid: str) -> tuple[int, str]:
     return (len(nid), nid)
 
 
-def _cons_sides(oracle: BoundedOracle, nid: str, node: Triple, child: Triple) -> NodeResult:
+def cons_sides(oracle: BoundedOracle, node: Triple, child: Triple) -> Iterator[tuple[str, Assertion, Assertion, Verdict]]:
+    """The obligations of a Cons step from ``child`` up to ``node`` as (name,
+    hyp, concl, verdict), pre side first, asked of the oracle when reached;
+    a side whose two assertions are the same is left out (it holds exactly)."""
+    for name, hyp, concl in (("pre side", child.pre, node.pre), ("post side", node.post, child.post)):
+        if not _aeq(hyp, concl):
+            yield name, hyp, concl, oracle.entails(hyp, concl)
+
+
+def _cons_result(oracle: BoundedOracle, nid: str, node: Triple, child: Triple) -> NodeResult:
     """Check both Cons obligations; Invalid rejects, bounds downgrade."""
-    flags: list[str] = []
-    for name, hyp, concl in (
-        ("pre side", child.pre, node.pre),
-        ("post side", node.post, child.post),
-    ):
-        v = oracle.entails(hyp, concl)
+    bounded = False
+    for name, hyp, concl, v in cons_sides(oracle, node, child):
         if v.is_invalid:
             at = ""
             if isinstance(v.witness, State):
@@ -136,14 +142,13 @@ def _cons_sides(oracle: BoundedOracle, nid: str, node: Triple, child: Triple) ->
                 f"{name}: {print_assertion(hyp)} |= {print_assertion(concl)} fails{at}",
                 verdict=v,
             )
-        if v.is_unknown or v.flags:
-            flags.append(f"quantifier at node {nid}")
-    return NodeResult(nid, "ok", bounded=tuple(dict.fromkeys(flags)))
+        bounded = bounded or v.is_unknown or bool(v.flags)
+    return NodeResult(nid, "ok", bounded=(f"quantifier at node {nid}",) if bounded else ())
 
 
 def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig4_assign: bool) -> str:
     """Why ``n`` is not an instance of its rule, or "" if it is; a Cons
-    node's side conditions are left to ``_cons_sides``."""
+    node's side conditions are left to ``cons_sides``."""
     t = n.triple
     prog = seq_of(t.prog)
     if n.rule == "Axiom":
@@ -305,7 +310,7 @@ def _check(
         if detail:
             results[nid] = NodeResult(nid, "rule-mismatch", detail)
         elif n.rule == "Cons":
-            results[nid] = _cons_sides(oracle, nid, n.triple, kids[0].triple)
+            results[nid] = _cons_result(oracle, nid, n.triple, kids[0].triple)
         else:
             results[nid] = NodeResult(nid, "ok")
     gstatus, gids = global_soundness(proof) if cyclic else ("ok", ())

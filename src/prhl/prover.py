@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .assertions import BoundedOracle
 from .certificates import CertificateError, CyclicPreProof, PrhlNode, ProofNode, Triple
-from .checker import _aeq, guard_implies
+from .checker import _aeq, cons_sides, guard_implies
 from .semantics import Bounds, Verdict, check_triple
 from .syntax import (
     Assertion,
@@ -89,16 +89,12 @@ class _Prover:
         self.notes: list[str] = []
 
     def cons(self, target: Triple, child: PrhlNode, where: str) -> PrhlNode:
-        """Wrap ``child`` in a Cons step up to ``target``, querying the
-        oracle for each side that is not a syntactic identity."""
+        """Wrap ``child`` in a Cons step up to ``target``, recording the
+        oracle's verdict on each side that ``cons_sides`` asks."""
         if target == child.triple:
             return child
-        if not _aeq(child.triple.pre, target.pre):
-            v = self.oracle.entails(child.triple.pre, target.pre)
-            self.sides.append(SideCondition(f"{where}: pre side", child.triple.pre, target.pre, v))
-        if not _aeq(target.post, child.triple.post):
-            v = self.oracle.entails(target.post, child.triple.post)
-            self.sides.append(SideCondition(f"{where}: post side", target.post, child.triple.post, v))
+        for name, hyp, concl, v in cons_sides(self.oracle, target, child.triple):
+            self.sides.append(SideCondition(f"{where}: {name}", hyp, concl, v))
         return PrhlNode("Cons", target, (child,))
 
     def prove(self, prog: Prog, post: Assertion) -> PrhlNode:

@@ -260,28 +260,22 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
 
     Guards are left for ``_range_tops``; ``canon`` packs what changed."""
     memo: dict = {}
-    fvs: dict = {}
-
-    def fv(a):
-        return fvs[a] if a in fvs else fvs.setdefault(a, free_vars(a))
 
     def go(a):
         out = memo.get(a)
         if out is None:
             if isinstance(a, Bool):
                 out = a
-            elif isinstance(a, Not):
-                out = Not(go(a.arg))
             elif isinstance(a, (Exists, Forall)):
                 out = quant(type(a), a.var, go(a.body))
             else:
-                out = type(a)(go(a.left), go(a.right))
+                out = a.rebuild(go)
             memo[a] = out
         return out
 
     def quant(q, x, b):
         """``q x. b`` for a ``b`` already rewritten."""
-        if x not in fv(b):
+        if x not in b.fv:
             return b
         univ = q is Forall
         if isinstance(b, Not):
@@ -290,7 +284,7 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
             inner = quant(q, x, b.body)
             if inner is q(x, b.body):
                 return q(x, b)
-            return q(b.var, inner) if b.var in fv(inner) else inner
+            return q(b.var, inner) if b.var in inner.fv else inner
         cs = _needs(b, univ)
         for j, pin in enumerate(_pin(x, c) for c in cs):
             if pin:
@@ -305,9 +299,9 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
         if isinstance(b, junction):
             return junction(quant(q, x, b.left), quant(q, x, b.right))
         if isinstance(b, (And, Or, Implies)):
-            if x not in fv(b.left):
+            if x not in b.left.fv:
                 return type(b)(b.left, quant(q, x, b.right))
-            if x not in fv(b.right) and not isinstance(b, Implies):
+            if x not in b.right.fv and not isinstance(b, Implies):
                 return type(b)(quant(q, x, b.left), b.right)
         return q(x, b)
 
@@ -449,8 +443,8 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
             nexts = [p.second]
         else:
             raise TypeError(f"not a program: {p!r}")
-        for t in reversed(tails):
-            nexts = [join(q, t) for q in nexts]
+        if tails:
+            nexts = [join(q, *reversed(tails)) for q in nexts]
         out = []
         for q in nexts:
             out.append(labels.setdefault(q, len(progs)))

@@ -41,6 +41,11 @@ node; ``erase_invariants`` gives the bare program for comparisons that
 must ignore it.  Substitution, ``canon`` and the printers memoize on the
 node within one call, so a subterm shared many times over, as in an
 unrolled loop's formula, is handled once.
+
+Each expression, guard and assertion node carries ``fv``, its free
+variables, computed once when the node is built (a program node has
+none).  The rewriting walkers handle only variables, binders and the
+connectives ``canon`` packs, and pass every other node to ``rebuild``.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ class _Node:
     """Base of the nodes: building a node equal to a live one returns that
     one (hash-consing; Filliâtre & Conchon, 2006)."""
 
-    __slots__ = ("__weakref__",)  # for the weak table
+    __slots__ = ("__weakref__", "fv")  # for the weak table; free variables, not a dataclass field
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):
@@ -77,7 +82,37 @@ class _Node:
         if node is None:
             node = _NODES[key] = object.__new__(cls)
             cls._fill(node, *args)
+            if not issubclass(cls, Prog):  # a program's would be quadratic in its length
+                object.__setattr__(node, "fv", _free(cls, args))
         return node
+
+    def kids(self) -> tuple:
+        """The fields that are nodes, in order."""
+        return tuple(v for n in self.__match_args__ if isinstance(v := getattr(self, n), _Node))
+
+    def rebuild(self, f) -> "_Node":
+        """The node of this class with ``f`` applied to each field that is
+        a node, in order; the others are kept."""
+        fields = []  # a loop: a comprehension would add a frame to the walkers' inner step
+        for n in self.__match_args__:
+            v = getattr(self, n)
+            fields.append(f(v) if isinstance(v, _Node) else v)
+        return type(self)(*fields)
+
+
+def _free(cls, args: tuple) -> frozenset[str]:
+    """A new node's free variables: a variable's name, a binder's body's
+    less its variable, else the union of its children's (a child's own set if equal)."""
+    if cls is Var:
+        return frozenset(args)
+    if cls is Exists or cls is Forall:
+        var, body = args
+        return body.fv - {var} if var in body.fv else body.fv
+    out: frozenset[str] = frozenset()
+    for v in args:
+        if isinstance(v, _Node):
+            out = v.fv if out <= v.fv else out if v.fv <= out else out | v.fv
+    return out
 
 
 def _node(cls):
@@ -239,24 +274,12 @@ def conj(parts: Sequence[Assertion]) -> Assertion:
 # --- variable sets ------------------------------------------------------
 
 
-def expr_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset({e.name})
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, BinOp):
-        return expr_vars(e.left) | expr_vars(e.right)
-    raise TypeError(f"not an expression: {e!r}")
+def free_vars(t: Expr | BoolExpr | Assertion) -> frozenset[str]:
+    """The free variables of an expression, guard or assertion."""
+    return t.fv
 
 
-def bool_vars(b: BoolExpr) -> frozenset[str]:
-    if isinstance(b, (Eq, Le)):
-        return expr_vars(b.left) | expr_vars(b.right)
-    if isinstance(b, BNot):
-        return bool_vars(b.arg)
-    if isinstance(b, (BAnd, BOr)):
-        return bool_vars(b.left) | bool_vars(b.right)
-    raise TypeError(f"not a boolean expression: {b!r}")
+expr_vars = bool_vars = free_vars
 
 
 def prog_vars(p: Prog) -> frozenset[str]:
@@ -296,29 +319,11 @@ def live_vars(p: Prog, out: Iterable[str]) -> frozenset[str]:
     return live
 
 
-def free_vars(a: Assertion) -> frozenset[str]:
-    if isinstance(a, Bool):
-        return bool_vars(a.expr)
-    if isinstance(a, Not):
-        return free_vars(a.arg)
-    if isinstance(a, (And, Or, Implies)):
-        return free_vars(a.left) | free_vars(a.right)
-    if isinstance(a, (Exists, Forall)):
-        return free_vars(a.body) - {a.var}
-    raise TypeError(f"not an assertion: {a!r}")
-
-
 def assertion_vars(a: Assertion) -> frozenset[str]:
     """Free and bound variables together."""
-    if isinstance(a, Bool):
-        return bool_vars(a.expr)
-    if isinstance(a, Not):
-        return assertion_vars(a.arg)
-    if isinstance(a, (And, Or, Implies)):
-        return assertion_vars(a.left) | assertion_vars(a.right)
     if isinstance(a, (Exists, Forall)):
         return assertion_vars(a.body) | {a.var}
-    raise TypeError(f"not an assertion: {a!r}")
+    return a.fv if isinstance(a, Bool) else frozenset().union(*map(assertion_vars, a.kids()))
 
 
 # --- fresh names and substitution ---------------------------------------
@@ -347,34 +352,23 @@ def _substitution(mapping: dict[str, Expr]):
     memo: dict = {}
 
     def go(t):
+        if t.fv.isdisjoint(mapping):
+            return t
         out = memo.get(t)
         if out is not None:
             return out
         if isinstance(t, Var):
-            out = mapping.get(t.name, t)
-        elif isinstance(t, Const):
-            out = t
-        elif isinstance(t, BinOp):
-            out = BinOp(t.op, go(t.left), go(t.right))
-        elif isinstance(t, (Eq, Le, BAnd, BOr, And, Or, Implies)):
-            out = type(t)(go(t.left), go(t.right))
-        elif isinstance(t, (BNot, Not)):
-            out = type(t)(go(t.arg))
-        elif isinstance(t, Bool):
-            out = Bool(go(t.expr))
+            out = mapping[t.name]
         elif isinstance(t, (Exists, Forall)):
-            body_free = free_vars(t.body)
-            inner = {k: v for k, v in mapping.items() if k != t.var and k in body_free}
-            out = t
-            if inner:
-                var, body = t.var, t.body
-                cap = frozenset().union(*(expr_vars(v) for v in inner.values()))
-                if var in cap:
-                    var = fresh_var(cap | body_free | set(inner), var)
-                    body = _substitution({t.var: Var(var)})(body)
-                out = type(t)(var, _substitution(inner)(body))
+            inner = {k: v for k, v in mapping.items() if k in t.fv}  # not empty, as t.fv meets mapping
+            var, body = t.var, t.body
+            cap = frozenset().union(*(v.fv for v in inner.values()))
+            if var in cap:
+                var = fresh_var(cap | body.fv | set(inner), var)
+                body = _substitution({t.var: Var(var)})(body)
+            out = type(t)(var, _substitution(inner)(body))
         else:
-            raise TypeError(f"not a term: {t!r}")
+            out = t.rebuild(go)
         memo[t] = out
         return out
 
@@ -385,12 +379,8 @@ def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
     return _substitution(mapping)(e)
 
 
-def subst_bool(b: BoolExpr, pairs: Sequence[tuple[str, Expr]]) -> BoolExpr:
-    return _substitution(dict(pairs))(b)
-
-
-def subst(a: Assertion, pairs: Sequence[tuple[str, Expr]]) -> Assertion:
-    """Simultaneous capture-avoiding substitution.
+def subst(a: Expr | BoolExpr | Assertion, pairs: Sequence[tuple[str, Expr]]) -> Expr | BoolExpr | Assertion:
+    """Simultaneous capture-avoiding substitution into any term.
 
     All pairs apply at once, so ``subst(x <= y, [(x,y),(y,x)])`` swaps the
     two variables.  A binder whose name would capture a substituted
@@ -408,26 +398,15 @@ def alpha_rename(a: Assertion) -> Assertion:
     avoid = set(free_vars(a))
 
     def go(a: Assertion) -> Assertion:
-        if isinstance(a, Bool):
-            return a
-        if isinstance(a, Not):
-            return Not(go(a.arg))
-        if isinstance(a, And):
-            return And(go(a.left), go(a.right))
-        if isinstance(a, Or):
-            return Or(go(a.left), go(a.right))
-        if isinstance(a, Implies):
-            return Implies(go(a.left), go(a.right))
         if isinstance(a, (Exists, Forall)):
-            cls = type(a)
             var, body = a.var, a.body
             if var in avoid:
                 new = fresh_var(avoid | assertion_vars(body), var)
                 body = subst(body, [(var, Var(new))])
                 var = new
             avoid.add(var)
-            return cls(var, go(body))
-        raise TypeError(f"not an assertion: {a!r}")
+            return type(a)(var, go(body))
+        return a if isinstance(a, Bool) else a.rebuild(go)
 
     return go(a)
 
@@ -452,12 +431,8 @@ def canon(a: Assertion) -> Assertion:
             l, r = go(a.left), go(a.right)
             packed = BAnd if isinstance(a, And) else BOr
             out = Bool(packed(l.expr, r.expr)) if isinstance(l, Bool) and isinstance(r, Bool) else type(a)(l, r)
-        elif isinstance(a, Implies):
-            out = Implies(go(a.left), go(a.right))
-        elif isinstance(a, (Exists, Forall)):
-            out = type(a)(a.var, go(a.body))
         else:
-            raise TypeError(f"not an assertion: {a!r}")
+            out = a.rebuild(go)
         memo[a] = out
         return out
 
@@ -509,20 +484,24 @@ normalize_program = seq_of
 
 
 def erase_invariants(p: Prog) -> Prog:
-    """The program with every loop annotation dropped: the form in which
-    to compare programs when annotations must not count.  The shape of
-    sequencing is kept as given."""
-    spine = []
-    while isinstance(p, Seq):
-        spine.append(erase_invariants(p.first))
-        p = p.second
-    if isinstance(p, Choice):
-        p = Choice(erase_invariants(p.left), erase_invariants(p.right))
-    elif isinstance(p, While):
-        p = While(p.guard, erase_invariants(p.body))
-    for u in reversed(spine):
-        p = Seq(u, p)
-    return p
+    """The program with every loop annotation dropped, to compare programs
+    where annotations must not count.  The shape of sequencing is kept;
+    an explicit stack walks it, so any length or grouping of ``;`` is fine."""
+    bare: dict[Prog, Prog] = {}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Seq):
+            first, second = bare.get(q.first), bare.get(q.second)
+            if first is None or second is None:
+                stack += (q, q.first, q.second)
+            else:  # an unchanged program is its own bare form
+                bare[q] = q if first is q.first and second is q.second else Seq(first, second)
+        elif isinstance(q, While):
+            bare[q] = While(q.guard, erase_invariants(q.body))
+        else:
+            bare[q] = Choice(erase_invariants(q.left), erase_invariants(q.right)) if isinstance(q, Choice) else q
+    return bare[p]
 
 
 # --- lexer ---------------------------------------------------------------
@@ -889,16 +868,12 @@ def _show(t, parent: int, memo: dict) -> str:
     return s
 
 
-def print_expr(e: Expr, parent: int = 0) -> str:
-    return _show(e, parent, {})
-
-
-def print_bool(b: BoolExpr, parent: int = 0) -> str:
-    return _show(b, parent, {})
-
-
-def print_assertion(a: Assertion, parent: int = 0) -> str:
+def print_assertion(a: Expr | BoolExpr | Assertion, parent: int = 0) -> str:
+    """The text of an expression, guard or assertion."""
     return _show(a, parent, {})
+
+
+print_expr = print_bool = print_assertion
 
 
 def print_program(p: Prog) -> str:

@@ -54,7 +54,6 @@ from .syntax import (
     fresh_var,
     prog_vars,
     subst,
-    subst_bool,
     units,
 )
 
@@ -219,7 +218,7 @@ def _wpr_loop_beta(p: While, q: Assertion, req: WprRequest, avoid: set[str], not
     f_part = const_block(xs, 0) if l else Bool(Eq(Const(0), Const(0)))
 
     # S: coded state i steps to coded state i+1 through a guard-true body run
-    guard_at_y = Bool(subst_bool(p.guard, [(xs[j], Var(y[j])) for j in range(l)]))
+    guard_at_y = Bool(subst(p.guard, [(xs[j], Var(y[j])) for j in range(l)]))
     body_post = conj([Bool(Eq(Var(xs[j]), Var(y1[j]))) for j in range(l)])
     body_wpr = _wpr(p.body, body_post, req, set(avoid), notes)
     step_back = Implies(body_wpr, conj([Bool(Eq(Var(xs[j]), Var(y[j]))) for j in range(l)]))
@@ -233,7 +232,7 @@ def _wpr_loop_beta(p: While, q: Assertion, req: WprRequest, avoid: set[str], not
 
     # T: the k-th coded state exits the guard satisfying the post
     t_sub = [(xs[j], Var(y3[j])) for j in range(l)]
-    t_body = And(Bool(BNot(subst_bool(p.guard, t_sub))), subst(q, t_sub))
+    t_body = And(Bool(BNot(subst(p.guard, t_sub))), subst(q, t_sub))
     t_part = Implies(block(kv, y3), t_body)
 
     matrix = And(And(f_part, s_part), t_part)

@@ -86,7 +86,19 @@ def subterms(t) -> list:
     return list(seen.values())
 
 
-# --- substitution by walking the tree -----------------------------------------
+# --- variables and substitution by walking the tree -----------------------------
+
+
+def free_vars_ref(t, bound: bool = False) -> frozenset[str]:
+    """The free variables of an expression, guard or assertion by recursion
+    over its fields, recomputed on every path; with ``bound`` its binders'
+    variables too."""
+    if isinstance(t, Var):
+        return frozenset({t.name})
+    out = frozenset().union(*(free_vars_ref(v, bound) for f in fields(t) if is_dataclass(v := getattr(t, f.name))))
+    if isinstance(t, (Exists, Forall)):
+        return out | {t.var} if bound else out - {t.var}
+    return out
 
 
 def subst_ref(t, pairs):
@@ -108,12 +120,12 @@ def subst_ref(t, pairs):
     if isinstance(t, Bool):
         return Bool(subst_ref(t.expr, pairs))
     if isinstance(t, (Exists, Forall)):
-        body_free = free_vars(t.body)
+        body_free = free_vars_ref(t.body)
         inner = [(k, v) for k, v in mapping.items() if k != t.var and k in body_free]
         if not inner:
             return t
         var, body = t.var, t.body
-        cap = set().union(*(expr_vars(v) for _, v in inner))
+        cap = set().union(*(free_vars_ref(v) for _, v in inner))
         if var in cap:
             var = fresh_var(cap | body_free | {k for k, _ in inner}, var)
             body = subst_ref(body, [(t.var, Var(var))])

@@ -6,11 +6,13 @@ The benchmark's modules are loaded by path and only read."""
 import importlib.util
 import random
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 from oracles import denormalize, gen_prog
+from prhl import syntax
 from prhl.cli import read_triple_file
 from prhl.syntax import prog_vars, seq_of
 
@@ -49,3 +51,35 @@ def test_benchmark_sees_the_variables_the_cli_sees(workloads):
         progs += [p, seq_of(p), denormalize(rng, p)]
     for p in progs:
         assert workloads.term_vars(p) == prog_vars(p)
+
+
+# the constructor fields of every node class; term_vars, tree_nodes and
+# wp_loopfree walk terms by these, so per-node data such as ``fv`` must
+# not show among them
+NODE_FIELDS = {
+    "Var": ("name",),
+    "Const": ("value",),
+    "BinOp": ("op", "left", "right"),
+    "Eq": ("left", "right"),
+    "Le": ("left", "right"),
+    "BNot": ("arg",),
+    "BAnd": ("left", "right"),
+    "BOr": ("left", "right"),
+    "Empty": (),
+    "Assign": ("name", "expr"),
+    "Seq": ("first", "second"),
+    "While": ("guard", "body", "invariant"),
+    "Choice": ("left", "right"),
+    "Bool": ("expr",),
+    "Not": ("arg",),
+    "And": ("left", "right"),
+    "Or": ("left", "right"),
+    "Implies": ("left", "right"),
+    "Exists": ("var", "body"),
+    "Forall": ("var", "body"),
+}
+
+
+def test_node_fields_are_the_constructor_fields():
+    nodes = {name: c for name, c in vars(syntax).items() if isinstance(c, type) and issubclass(c, syntax._Node) and is_dataclass(c)}
+    assert {name: tuple(f.name for f in fields(c)) for name, c in nodes.items()} == NODE_FIELDS

@@ -370,6 +370,17 @@ def test_prove_writes_checkable_certificate(tmp_path, capsys):
     assert parse_proof((tmp_path / "line.cyclic.json").read_text()).backlinks == {}
 
 
+def test_identical_cons_side_is_not_flagged(tmp_path, capsys):
+    # the post is bound-relative, so only asking post |= post would flag it
+    t = write(tmp_path, "same.triple", "pre: true\nprog: x := x + 1\npost: forall y. x <= x + y\n")
+    cert = str(tmp_path / "same.json")
+    assert main(["prove", t, "-o", cert]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "status: proved"
+    assert main(["check-proof", cert]) == 0
+    assert main(["transform", cert]) == 0
+    assert capsys.readouterr().out == "ACCEPT (bounded: none)\nACCEPT (bounded: none)\n"
+
+
 def test_prove_refuted(capsys):
     code = main(["prove", "corpus/ex4.triple", "--loop-mode", "invariant-annotations",
                  "--domain-max", "12", "--step-bound", "1000"])

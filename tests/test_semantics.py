@@ -1,5 +1,6 @@
 """Stores, small-step execution, transformers, and triple checking."""
 
+import functools
 import random
 import time
 
@@ -215,13 +216,13 @@ def test_run_all_exhausts_on_unbounded_growth():
 
 
 def test_run_all_work_cap_cuts_branching_divergence():
-    # one branch keeps the guard alive, the other diverges in value, so the
+    # both branches keep the guard alive and give x a new value, so the
     # frontier doubles per iteration; the work cap must end the run quickly
-    p = parse_program("while i < 2 do { (i := 0 + x := x + 1) }")
+    p = parse_program("while i < 2 do { (x := 2 * x + x := 2 * x + 1) }")
     t0 = time.monotonic()
     r = run_all(p, State(), 500)
     assert time.monotonic() - t0 < 5.0
-    assert r.exhausted and r.truncated
+    assert r.cause == WORK_CAP and r.exhausted and r.truncated
 
 
 def test_run_all_value_cap_cuts_repeated_squaring():
@@ -283,8 +284,9 @@ def test_run_all_matches_tree_rewriting_reference(seed):
 @pytest.mark.parametrize(
     "text, s0, step_bound",
     [
-        # work cap: the frontier doubles every iteration
-        ("while i < 2 do { (i := 0 + x := x + 1) }", State(), 500),
+        # work cap: the frontier doubles every iteration (the cause is
+        # checked in test_run_all_work_cap_cuts_branching_divergence)
+        ("while i < 2 do { (x := 2 * x + x := 2 * x + 1) }", State(), 500),
         # value cap, reached by repeated squaring
         ("while i < 2 do { x := x * (2 * x) }", State(x=2), 500),
         ("x := x * x; x := x * x", State(x=3), 100),
@@ -330,6 +332,13 @@ def test_run_all_answers_a_long_left_nested_program():
     for _ in range(400):
         p = Seq(p, Assign("x", expr("x + 1")))
     assert run_all(p, State(), 10000).finals == {State(x=400): 401}
+
+
+def test_run_all_answers_a_long_raw_program():
+    # neither erasing annotations nor joining tails walks the left nesting
+    # by recursion or again per tail
+    p = functools.reduce(Seq, [Assign("x", expr("x + 1"))] * 2000)
+    assert run_all(p, State(), 10000).finals == {State(x=2000): 2000}
 
 
 @given(SEEDS)

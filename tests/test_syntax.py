@@ -13,6 +13,7 @@ from oracles import (
     assert_holds,
     denormalize,
     eval_expr,
+    free_vars_ref,
     gen_assertion,
     gen_bool,
     gen_expr,
@@ -25,6 +26,7 @@ from oracles import (
 )
 from prhl.assertions import eval_assertion
 from prhl.syntax import (
+    Assertion,
     Assign,
     BinOp,
     BNot,
@@ -316,6 +318,17 @@ def test_units_walk_any_nesting():
     assert prog_vars(p) == {"x"} and erase_invariants(p) is p
 
 
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_free_vars_match_recursive_reference(seed):
+    # both names are bound often, inside each other and over free uses
+    a = gen_assertion(random.Random(seed), NAMES, 5, quant=True)
+    for t in subterms(a):
+        assert free_vars(t) == free_vars_ref(t)
+        if isinstance(t, Assertion):
+            assert assertion_vars(t) == free_vars_ref(t, bound=True)
+
+
 def test_vars_helpers():
     p = parse_program("while i < 5 do { x := x + y }")
     assert prog_vars(p) == frozenset({"i", "x", "y"})
@@ -380,6 +393,7 @@ def test_interned_terms_rebuild_parse_and_substitute(seed):
     p = gen_prog(rng, NAMES, 4)
     for t in subterms(a) + subterms(p):
         assert type(t)(**{f.name: getattr(t, f.name) for f in fields(t)}) is t
+        assert t.rebuild(lambda k: k) is t
     canonical = parse_assertion(print_assertion(a))
     assert parse_assertion(print_assertion(canonical)) is canonical
     # simultaneous, and often capturing: both names are also bound in a

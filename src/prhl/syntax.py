@@ -14,7 +14,10 @@ division/modulo are totalised in the semantics module; the syntax layer
 treats all five operators alike.  Comparison sugar (``!=``, ``<``, ``>``,
 ``>=``) and the constants ``true``/``false`` desugar at parse time and are
 re-sugared by the printer, so parse/print round-trips are stable on ASTs
-even when they rewrite the concrete text.
+even when they rewrite the concrete text.  Terms are read by precedence
+climbing over one operator table, which the printer reads too; the one
+speculative parse left is whether a ``+`` in an assignment's right-hand
+side adds or starts a choice.
 
 ``if B then C1 else C2`` is accepted as sugar, which the parser compiles
 on the spot with a flag variable::
@@ -552,14 +555,34 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # --- parser --------------------------------------------------------------
 
+# the infix operators and how tightly each binds, read by the parser and
+# the printer: ``->`` groups to the right, the others to the left, and a
+# comparison's operands are expressions, so comparisons do not chain
+_PREC = {
+    "->": 1, "||": 2, "&&": 3,
+    "=": 4, "<=": 4, "!=": 4, "<": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
+
+# the node each infix operator builds; the comparison sugar desugars here
+_JOIN = {
+    "->": Implies, "||": Or, "&&": And,
+    "=": lambda l, r: Bool(Eq(l, r)),
+    "<=": lambda l, r: Bool(Le(l, r)),
+    "!=": lambda l, r: Bool(BNot(Eq(l, r))),
+    "<": lambda l, r: Bool(BNot(Le(r, l))),
+    ">": lambda l, r: Bool(BNot(Le(l, r))),
+    ">=": lambda l, r: Bool(Le(r, l)),
+    **{op: functools.partial(BinOp, op) for op in "+-*/%"},
+}
+
 
 class _Parser:
-    """Recursive descent with explicit position save/restore.
-
-    Two places need one speculative parse: ``( ... )`` may enclose either
-    an arithmetic or a boolean/assertion phrase, and inside an assignment's
-    right-hand side a ``+`` may instead begin a nondeterministic choice
-    (``x := 1 + y := 2`` is a choice between two assignments).
+    """Recursive descent for programs; precedence climbing (Pratt, 1973)
+    over ``_PREC`` for expressions and assertions, so a parenthesis is read
+    once.  One speculative parse is left: inside an assignment's right-hand
+    side a ``+`` may instead begin a nondeterministic choice (``x := 1 +
+    y := 2`` is a choice between two assignments).
     """
 
     def __init__(self, text: str, avoid: Iterable[str] = ()):
@@ -590,135 +613,75 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {got or 'end of input'!r}", pos, self.text)
         self.pos += 1
 
-    def fail(self, message: str) -> ParseError:
-        _, got, pos = self.peek()
-        return ParseError(f"{message}, found {got or 'end of input'!r}", pos, self.text)
+    # -- expressions and assertions --
 
-    # -- arithmetic expressions --
+    def of(self, kind: type, floor: int = 1, rhs: bool = False) -> Expr | Assertion:
+        """A ``term`` that must be of ``kind``, ``Expr`` or ``Assertion``."""
+        pos = self.peek()[2]
+        return self.check(self.term(floor, rhs), kind, pos)
 
-    def expr(self, assign_rhs: bool = False) -> Expr:
-        e = self.term()
-        while self.at("+", "-"):
+    def check(self, t: Expr | Assertion, kind: type, pos: int) -> Expr | Assertion:
+        if not isinstance(t, kind):
+            raise ParseError(f"expected {'an expression' if kind is Expr else 'an assertion'}", pos, self.text)
+        return t
+
+    def term(self, floor: int = 1, rhs: bool = False) -> Expr | Assertion:
+        """The longest term here whose infix operators bind at least as
+        tightly as ``floor``.  With ``rhs`` (an assignment's right-hand
+        side) a ``+`` that a new assignment follows ends it: it starts a
+        choice."""
+        start = self.peek()[2]
+        left = self.prefix()
+        while (prec := _PREC.get(self.peek()[1], 0)) >= floor:
             save = self.pos
-            _, op, _ = self.next()
-            if op == "+" and assign_rhs:
-                # Speculate: if the continuation reads as the start of a new
-                # assignment, this + is a program choice, not addition.
+            op = self.next()[1]
+            kind = Expr if prec > _PREC["&&"] else Assertion
+            self.check(left, kind, start)
+            if op == "+" and rhs:
                 try:
-                    rhs = self.term()
+                    right = self.term(prec + 1)
                 except ParseError:
+                    right = None
+                if not isinstance(right, Expr) or self.at(":="):
                     self.pos = save
                     break
-                if self.at(":="):
-                    self.pos = save
-                    break
-                e = BinOp(op, e, rhs)
-                continue
-            e = BinOp(op, e, self.term())
-        return e
+            else:  # -> groups to the right, the others to the left
+                right = self.of(kind, prec if op == "->" else prec + 1)
+            left = _JOIN[op](left, right)
+        return left
 
-    def term(self) -> Expr:
-        e = self.factor()
-        while self.at("*", "/", "%"):
-            _, op, _ = self.next()
-            e = BinOp(op, e, self.factor())
-        return e
-
-    def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+    def prefix(self) -> Expr | Assertion:
+        """A numeral, a name, ``true``/``false``, ``!`` and what binds
+        tighter than ``&&``, a quantifier and its body, or ``( term )``."""
+        kind, value, pos = self.next()
         if kind == "num":
-            self.next()
-            return Const(int(value))
+            try:
+                return Const(int(value))
+            except ValueError:  # past the interpreter's limit on digits
+                raise ParseError(f"numeral of {len(value)} digits is too long", pos, self.text) from None
         if kind == "ident":
-            self.next()
             return Var(value)
-        if self.at("("):
-            self.next()
-            e = self.expr()
-            self.expect(")")
-            return e
-        raise self.fail("expected expression")
-
-    # -- comparisons --
-
-    def comparison(self) -> BoolExpr:
-        left = self.expr()
-        if self.at("="):
-            self.next()
-            return Eq(left, self.expr())
-        if self.at("<="):
-            self.next()
-            return Le(left, self.expr())
-        if self.at("!="):
-            self.next()
-            return BNot(Eq(left, self.expr()))
-        if self.at("<"):
-            self.next()
-            return BNot(Le(self.expr(), left))
-        if self.at(">"):
-            self.next()
-            return BNot(Le(left, self.expr()))
-        if self.at(">="):
-            self.next()
-            return Le(self.expr(), left)
-        raise self.fail("expected comparison operator")
-
-    # -- assertions --
-
-    def assertion(self) -> Assertion:
-        a = self.assert_or()
-        if self.at("->"):
-            self.next()
-            return Implies(a, self.assertion())
-        return a
-
-    def assert_or(self) -> Assertion:
-        a = self.assert_and()
-        while self.at("||"):
-            self.next()
-            a = Or(a, self.assert_and())
-        return a
-
-    def assert_and(self) -> Assertion:
-        a = self.assert_unary()
-        while self.at("&&"):
-            self.next()
-            a = And(a, self.assert_unary())
-        return a
-
-    def assert_unary(self) -> Assertion:
-        if self.at("!"):
-            self.next()
-            return Not(self.assert_unary())
-        if self.at("exists", "forall"):
-            _, kw, _ = self.next()
-            kind, name, pos = self.next()
+        if value == "!":
+            return Not(self.of(Assertion, _PREC["&&"] + 1))
+        if value in ("exists", "forall"):
+            kind, name, at = self.next()
             if kind != "ident":
-                raise ParseError(f"expected variable after {kw!r}", pos, self.text)
+                raise ParseError(f"expected variable after {value!r}", at, self.text)
             self.expect(".")
-            body = self.assertion()
-            return Exists(name, body) if kw == "exists" else Forall(name, body)
-        if self.at("true"):
-            self.next()
-            return TRUE
-        if self.at("false"):
-            self.next()
-            return FALSE
-        save = self.pos
-        try:
-            return Bool(self.comparison())
-        except ParseError:
-            self.pos = save
-        self.expect("(")
-        a = self.assertion()
-        self.expect(")")
-        return a
+            return (Exists if value == "exists" else Forall)(name, self.of(Assertion))
+        if value in ("true", "false"):
+            return TRUE if value == "true" else FALSE
+        if value == "(":
+            t = self.term()
+            self.expect(")")
+            return t
+        raise ParseError(f"expected expression, found {value or 'end of input'!r}", pos, self.text)
 
     def guard(self) -> BoolExpr:
         """A loop or conditional guard: an assertion that ``canon`` packs
         into one ``BoolExpr``, i.e. one without quantifiers or ``->``."""
         pos = self.peek()[2]
-        a = canon(self.assert_or())
+        a = canon(self.of(Assertion, _PREC["||"]))
         if not isinstance(a, Bool):
             raise ParseError("a guard takes no quantifier or implication", pos, self.text)
         return a.expr
@@ -750,7 +713,7 @@ class _Parser:
             inv = None
             if self.at("invariant"):
                 self.next()
-                inv = canon(self.assertion())
+                inv = canon(self.of(Assertion))
             self.expect("do")
             body = self.statement()
             return While(guard, body, inv)
@@ -769,49 +732,44 @@ class _Parser:
                 While(BAnd(cond, unset), Seq(then, done)),
                 While(BAnd(BNot(cond), unset), Seq(orelse, done)),
             )
-        if self.at("{"):
-            self.next()
+        if self.at("{", "("):
+            close = "}" if self.next()[1] == "{" else ")"
             p = self.program()
-            self.expect("}")
-            return p
-        if self.at("("):
-            self.next()
-            p = self.program()
-            self.expect(")")
+            self.expect(close)
             return p
         if kind == "ident":
             self.next()
             self.expect(":=")
-            return Assign(value, self.expr(assign_rhs=True))
-        raise self.fail("expected statement")
+            return Assign(value, self.of(Expr, _PREC["+"], rhs=True))
+        raise ParseError(f"expected statement, found {value or 'end of input'!r}", pos, self.text)
 
-    def done(self) -> None:
-        kind, got, pos = self.peek()
-        if kind != "eof":
-            raise ParseError(f"trailing input starting at {got!r}", pos, self.text)
+
+def _parse(text: str, avoid: Iterable[str], read):
+    """``read`` of a parser over ``text``, which must take all of it; too
+    deep a nesting is a parse error at the token reached."""
+    parser = _Parser(text, avoid)
+    try:
+        t = read(parser)
+    except RecursionError:
+        at = parser.tokens[min(parser.pos, len(parser.tokens) - 1)][2]
+        raise ParseError("nesting too deep", at, text) from None
+    kind, got, pos = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"trailing input starting at {got!r}", pos, text)
+    return t
 
 
 def parse_program(text: str, avoid: Iterable[str] = ()) -> Prog:
     """Parse program text to normal form, compiling each conditional with
     a flag that is none of ``avoid`` and no identifier of the text."""
-    parser = _Parser(text, avoid)
-    p = parser.program()
-    parser.done()
-    return p
+    return _parse(text, avoid, _Parser.program)
 
 
 def parse_assertion(text: str) -> Assertion:
-    parser = _Parser(text)
-    a = parser.assertion()
-    parser.done()
-    return canon(alpha_rename(a))
+    return _parse(text, (), lambda parser: canon(alpha_rename(parser.of(Assertion))))
 
 
 # --- printing ------------------------------------------------------------
-
-_EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
-
-_IMP, _OR, _AND = 1, 2, 3
 
 # the longest text a term prints to: an unrolled loop's formula shares its
 # subterms, but its text doubles with every level (4.2 MB at depth 14)
@@ -822,9 +780,22 @@ class PrintCapExceeded(Exception):
     """A term's text would pass ``PRINT_CAP`` bytes."""
 
 
+# the operator a binary node other than ``BinOp`` prints with
+_SYMBOL = {Eq: "=", Le: "<=", BAnd: "&&", And: "&&", BOr: "||", Or: "||", Implies: "->"}
+
+
+def _infix(t) -> tuple | None:
+    """The operator and operands ``t`` prints with, if it prints infix:
+    ``!(a = b)`` prints as ``a != b`` and ``!(a <= b)`` as ``b < a``."""
+    if isinstance(t, BNot) and isinstance(t.arg, (Eq, Le)):
+        return ("!=", t.arg.left, t.arg.right) if isinstance(t.arg, Eq) else ("<", t.arg.right, t.arg.left)
+    op = t.op if isinstance(t, BinOp) else _SYMBOL.get(type(t))
+    return op and (op, t.left, t.right)
+
+
 def _show(t, parent: int, memo: dict) -> str:
-    """Text of an expression, guard or assertion inside an operator of
-    precedence ``parent``, memoized on (node, parent)."""
+    """Text of an expression, guard or assertion as the operand of an
+    operator of precedence ``parent`` (0 for none), memoized on (node, parent)."""
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Const):
@@ -833,30 +804,17 @@ def _show(t, parent: int, memo: dict) -> str:
     s = memo.get(key)
     if s is not None:
         return s
-    if isinstance(t, BinOp):
-        prec = _EXPR_PREC[t.op]
-        s = f"{_show(t.left, prec, memo)} {t.op} {_show(t.right, prec + 1, memo)}"
-        s = f"({s})" if prec < parent else s
-    elif t is TRUE_BOOL or t is FALSE_BOOL:
+    if t is TRUE_BOOL or t is FALSE_BOOL:
         s = "true" if t is TRUE_BOOL else "false"
-    elif isinstance(t, (Eq, Le)):
-        s = f"{_show(t.left, 0, memo)} {'=' if isinstance(t, Eq) else '<='} {_show(t.right, 0, memo)}"
-    elif isinstance(t, BNot) and isinstance(t.arg, Eq):
-        s = f"{_show(t.arg.left, 0, memo)} != {_show(t.arg.right, 0, memo)}"
-    elif isinstance(t, BNot) and isinstance(t.arg, Le):
-        # !(a <= b) is b < a; < is the more common guard, keep it stable
-        s = f"{_show(t.arg.right, 0, memo)} < {_show(t.arg.left, 0, memo)}"
+    elif (infix := _infix(t)) is not None:
+        op, left, right = infix
+        prec = _PREC[op]
+        s = f"{_show(left, prec + (op == '->'), memo)} {op} {_show(right, prec + (op != '->'), memo)}"
+        s = f"({s})" if prec < parent else s
     elif isinstance(t, (BNot, Not)):
         s = f"!({_show(t.arg, 0, memo)})"
     elif isinstance(t, Bool):
         s = _show(t.expr, parent, memo)
-    elif isinstance(t, (BAnd, And, BOr, Or)):
-        prec, op = (_AND, "&&") if isinstance(t, (BAnd, And)) else (_OR, "||")
-        s = f"{_show(t.left, prec, memo)} {op} {_show(t.right, prec + 1, memo)}"
-        s = f"({s})" if prec < parent else s
-    elif isinstance(t, Implies):
-        s = f"{_show(t.left, _IMP + 1, memo)} -> {_show(t.right, _IMP, memo)}"
-        s = f"({s})" if _IMP < parent else s
     elif isinstance(t, (Exists, Forall)):
         s = f"{'exists' if isinstance(t, Exists) else 'forall'} {t.var}. {_show(t.body, 0, memo)}"
         s = f"({s})" if parent > 0 else s
@@ -868,9 +826,9 @@ def _show(t, parent: int, memo: dict) -> str:
     return s
 
 
-def print_assertion(a: Expr | BoolExpr | Assertion, parent: int = 0) -> str:
+def print_assertion(a: Expr | BoolExpr | Assertion) -> str:
     """The text of an expression, guard or assertion."""
-    return _show(a, parent, {})
+    return _show(a, 0, {})
 
 
 print_expr = print_bool = print_assertion

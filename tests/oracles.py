@@ -46,15 +46,22 @@ from prhl.syntax import (
     Empty,
     Eq,
     Exists,
+    FALSE,
+    FALSE_BOOL,
     Forall,
     Implies,
     Le,
     Not,
     Or,
+    ParseError,
     Prog,
     Seq,
+    TRUE,
+    TRUE_BOOL,
     Var,
     While,
+    alpha_rename,
+    canon,
     expr_vars,
     free_vars,
     fresh_var,
@@ -62,6 +69,7 @@ from prhl.syntax import (
     print_program,
     prog_vars,
     seq_of,
+    tokenize,
 )
 from prhl.wp import WprRequest, wpr_formula
 
@@ -158,6 +166,285 @@ def normalize_ref(p: Prog) -> Prog:
     for unit in reversed(acc):
         out = Seq(unit, out)
     return out
+
+
+# --- the eight-level descent parser and its printer ---------------------------
+
+
+class _DescentParser:
+    """Recursive descent, one method per precedence level, with explicit
+    position save/restore: ``( ... )`` is first read as arithmetic and read
+    again as an assertion when that fails, and inside an assignment's
+    right-hand side a ``+`` that a new assignment follows starts a choice.
+    The reference for the library's precedence-climbing parser."""
+
+    def __init__(self, text, avoid=()):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.pos = 0
+        self.taken = {v for kind, v, _ in self.tokens if kind == "ident"} | set(avoid)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at(self, *values):
+        kind, value, _ = self.peek()
+        return value in values and kind in ("op", "kw")
+
+    def expect(self, value):
+        kind, got, pos = self.peek()
+        if got != value or kind not in ("op", "kw"):
+            raise ParseError(f"expected {value!r}, found {got or 'end of input'!r}", pos, self.text)
+        self.pos += 1
+
+    def fail(self, message):
+        _, got, pos = self.peek()
+        return ParseError(f"{message}, found {got or 'end of input'!r}", pos, self.text)
+
+    def expr(self, assign_rhs=False):
+        e = self.term()
+        while self.at("+", "-"):
+            save = self.pos
+            _, op, _ = self.next()
+            if op == "+" and assign_rhs:
+                try:
+                    rhs = self.term()
+                except ParseError:
+                    self.pos = save
+                    break
+                if self.at(":="):
+                    self.pos = save
+                    break
+                e = BinOp(op, e, rhs)
+                continue
+            e = BinOp(op, e, self.term())
+        return e
+
+    def term(self):
+        e = self.factor()
+        while self.at("*", "/", "%"):
+            _, op, _ = self.next()
+            e = BinOp(op, e, self.factor())
+        return e
+
+    def factor(self):
+        kind, value, _ = self.peek()
+        if kind == "num":
+            self.next()
+            return Const(int(value))
+        if kind == "ident":
+            self.next()
+            return Var(value)
+        if self.at("("):
+            self.next()
+            e = self.expr()
+            self.expect(")")
+            return e
+        raise self.fail("expected expression")
+
+    def comparison(self):
+        left = self.expr()
+        if self.at("="):
+            self.next()
+            return Eq(left, self.expr())
+        if self.at("<="):
+            self.next()
+            return Le(left, self.expr())
+        if self.at("!="):
+            self.next()
+            return BNot(Eq(left, self.expr()))
+        if self.at("<"):
+            self.next()
+            return BNot(Le(self.expr(), left))
+        if self.at(">"):
+            self.next()
+            return BNot(Le(left, self.expr()))
+        if self.at(">="):
+            self.next()
+            return Le(self.expr(), left)
+        raise self.fail("expected comparison operator")
+
+    def assertion(self):
+        a = self.assert_or()
+        if self.at("->"):
+            self.next()
+            return Implies(a, self.assertion())
+        return a
+
+    def assert_or(self):
+        a = self.assert_and()
+        while self.at("||"):
+            self.next()
+            a = Or(a, self.assert_and())
+        return a
+
+    def assert_and(self):
+        a = self.assert_unary()
+        while self.at("&&"):
+            self.next()
+            a = And(a, self.assert_unary())
+        return a
+
+    def assert_unary(self):
+        if self.at("!"):
+            self.next()
+            return Not(self.assert_unary())
+        if self.at("exists", "forall"):
+            _, kw, _ = self.next()
+            kind, name, pos = self.next()
+            if kind != "ident":
+                raise ParseError(f"expected variable after {kw!r}", pos, self.text)
+            self.expect(".")
+            body = self.assertion()
+            return Exists(name, body) if kw == "exists" else Forall(name, body)
+        if self.at("true"):
+            self.next()
+            return TRUE
+        if self.at("false"):
+            self.next()
+            return FALSE
+        save = self.pos
+        try:
+            return Bool(self.comparison())
+        except ParseError:
+            self.pos = save
+        self.expect("(")
+        a = self.assertion()
+        self.expect(")")
+        return a
+
+    def guard(self):
+        pos = self.peek()[2]
+        a = canon(self.assert_or())
+        if not isinstance(a, Bool):
+            raise ParseError("a guard takes no quantifier or implication", pos, self.text)
+        return a.expr
+
+    def program(self):
+        stmts = [self.choice()]
+        while self.at(";"):
+            self.next()
+            stmts.append(self.choice())
+        return seq_of(*stmts)
+
+    def choice(self):
+        p = self.statement()
+        while self.at("+"):
+            self.next()
+            p = Choice(p, self.statement())
+        return p
+
+    def statement(self):
+        kind, value, _ = self.peek()
+        if self.at("skip"):
+            self.next()
+            return Empty()
+        if self.at("while"):
+            self.next()
+            guard = self.guard()
+            inv = None
+            if self.at("invariant"):
+                self.next()
+                inv = canon(self.assertion())
+            self.expect("do")
+            body = self.statement()
+            return While(guard, body, inv)
+        if self.at("if"):
+            self.next()
+            cond = self.guard()
+            self.expect("then")
+            then = self.statement()
+            self.expect("else")
+            orelse = self.statement()
+            t = fresh_var(self.taken, "t")
+            self.taken.add(t)
+            unset, done = Eq(Var(t), Const(0)), Assign(t, Const(1))
+            return seq_of(
+                Assign(t, Const(0)),
+                While(BAnd(cond, unset), Seq(then, done)),
+                While(BAnd(BNot(cond), unset), Seq(orelse, done)),
+            )
+        if self.at("{"):
+            self.next()
+            p = self.program()
+            self.expect("}")
+            return p
+        if self.at("("):
+            self.next()
+            p = self.program()
+            self.expect(")")
+            return p
+        if kind == "ident":
+            self.next()
+            self.expect(":=")
+            return Assign(value, self.expr(assign_rhs=True))
+        raise self.fail("expected statement")
+
+    def done(self):
+        kind, got, pos = self.peek()
+        if kind != "eof":
+            raise ParseError(f"trailing input starting at {got!r}", pos, self.text)
+
+
+def parse_program_ref(text: str, avoid=()) -> Prog:
+    """``parse_program`` by the eight-level descent."""
+    parser = _DescentParser(text, avoid)
+    p = parser.program()
+    parser.done()
+    return p
+
+
+def parse_assertion_ref(text: str):
+    """``parse_assertion`` by the eight-level descent."""
+    parser = _DescentParser(text)
+    a = parser.assertion()
+    parser.done()
+    return canon(alpha_rename(a))
+
+
+_EXPR_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
+_IMP, _OR, _AND = 1, 2, 3
+
+
+def print_ref(t, parent: int = 0) -> str:
+    """``print_assertion`` with a branch per connective and its own
+    precedences, no memo: the reference for the table-driven printer."""
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return str(t.value)
+    if isinstance(t, BinOp):
+        prec = _EXPR_PREC[t.op]
+        s = f"{print_ref(t.left, prec)} {t.op} {print_ref(t.right, prec + 1)}"
+        return f"({s})" if prec < parent else s
+    if t is TRUE_BOOL or t is FALSE_BOOL:
+        return "true" if t is TRUE_BOOL else "false"
+    if isinstance(t, (Eq, Le)):
+        return f"{print_ref(t.left)} {'=' if isinstance(t, Eq) else '<='} {print_ref(t.right)}"
+    if isinstance(t, BNot) and isinstance(t.arg, Eq):
+        return f"{print_ref(t.arg.left)} != {print_ref(t.arg.right)}"
+    if isinstance(t, BNot) and isinstance(t.arg, Le):
+        return f"{print_ref(t.arg.right)} < {print_ref(t.arg.left)}"
+    if isinstance(t, (BNot, Not)):
+        return f"!({print_ref(t.arg)})"
+    if isinstance(t, Bool):
+        return print_ref(t.expr, parent)
+    if isinstance(t, (BAnd, And, BOr, Or)):
+        prec, op = (_AND, "&&") if isinstance(t, (BAnd, And)) else (_OR, "||")
+        s = f"{print_ref(t.left, prec)} {op} {print_ref(t.right, prec + 1)}"
+        return f"({s})" if prec < parent else s
+    if isinstance(t, Implies):
+        s = f"{print_ref(t.left, _IMP + 1)} -> {print_ref(t.right, _IMP)}"
+        return f"({s})" if _IMP < parent else s
+    if isinstance(t, (Exists, Forall)):
+        s = f"{'exists' if isinstance(t, Exists) else 'forall'} {t.var}. {print_ref(t.body)}"
+        return f"({s})" if parent > 0 else s
+    raise TypeError(f"not a printable term: {t!r}")
 
 
 # --- evaluation by walking the tree over State ----------------------------------

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prhl.certificates import (
     CPRHL_ARITY,
@@ -19,6 +21,9 @@ from prhl.certificates import (
     to_tree,
 )
 from prhl.syntax import parse_assertion as pa, parse_program as pp
+
+
+CORPUS = ["corpus/ex3_prhl.json", "corpus/ex4_literal.cprhl.json"]
 
 
 def triple(pre="true", prog="skip", post="true"):
@@ -130,6 +135,53 @@ def test_parse_rejects_bad_shapes():
     expect_reject(lambda d: d["nodes"]["c3"]["children"].__setitem__(0, "c4"), "two parents")
     expect_reject(lambda d: d["nodes"]["c1"]["triple"].pop("pre"), "malformed triple")
     expect_reject(lambda d: d["nodes"]["c1"]["triple"].update(prog="x :="), "unparseable triple")
+    expect_reject(lambda d: d["nodes"]["c1"]["triple"].update(prog="x := " + "1" * 5000), "unparseable triple at node 'c1'")
+    expect_reject(lambda d: d["nodes"]["c2"]["triple"].update(pre="(" * 2000 + "x = 1" + ")" * 2000), "nesting too deep")
+
+
+def _json_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _json_paths(v, path + (k,))
+
+
+_FIELD_VALUES = st.sampled_from(
+    [None, 0, -1, 1.5, True, "", "n1", "c1", "x :=", "x := " + "9" * 5000, "(" * 2000 + "x = 1", [], ["n2"], {}]
+)
+
+
+@given(st.sampled_from(CORPUS), st.randoms(use_true_random=False), _FIELD_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_mutated_corpus_certificates_fail_only_as_certificates(path, rng, value):
+    # a field replaced, or a few characters dropped, doubled or swapped:
+    # the only way out is a CertificateError
+    with open(path) as fh:
+        text = fh.read()
+    if rng.random() < 0.5:
+        doc = json.loads(text)
+        *up, last = rng.choice(list(_json_paths(doc))[1:])
+        holder = doc
+        for k in up:
+            holder = holder[k]
+        holder[last] = value
+        text = json.dumps(doc)
+    else:
+        chars = list(text)
+        for _ in range(rng.randrange(1, 4)):
+            i, j = rng.randrange(len(chars)), rng.randrange(len(chars))
+            edit = rng.randrange(3)
+            if edit == 0:
+                del chars[i]
+            elif edit == 1:
+                chars.insert(i, chars[i])
+            else:
+                chars[i], chars[j] = chars[j], chars[i]
+        text = "".join(chars)
+    try:
+        parse_proof(text)
+    except CertificateError:
+        pass
 
 
 def test_parse_rejects_unreachable_nodes():

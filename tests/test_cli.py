@@ -253,6 +253,27 @@ def test_quantified_guard_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("parse error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "cmd, name, text, cause",
+    [
+        ("run", "rhs.while", "x := " + "(" * 2000 + "1" + ")" * 2000, "nesting too deep"),
+        ("run", "stmt.while", "(" * 2000 + "x := 1" + ")" * 2000, "nesting too deep"),
+        ("check-triple", "pre.triple", f"pre: {'(' * 2000}x = 1{')' * 2000}\nprog: skip\npost: x = 1\n", "nesting too deep"),
+        ("run", "num.while", "x := " + "7" * 5000, "numeral of 5000 digits is too long"),
+    ],
+)
+def test_deep_nesting_and_long_numerals_are_parse_errors(cmd, name, text, cause, tmp_path, capsys):
+    assert main([cmd, write(tmp_path, name, text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: ") and cause in err
+
+
+def test_deeply_parenthesized_pre_answers(tmp_path, capsys):
+    t = write(tmp_path, "pre.triple", f"pre: {'(' * 400}x = 1{')' * 400}\nprog: skip\npost: x = 1\n")
+    assert main(["check-triple", t]) == 0
+    assert capsys.readouterr().out == "VALID\n"
+
+
 # --- check-proof -------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import functools
 import random
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,22 +21,29 @@ from oracles import (
     gen_prog,
     gen_state,
     normalize_ref,
+    parse_assertion_ref,
+    parse_program_ref,
+    print_ref,
     quantifier_count,
     subst_ref,
     subterms,
 )
+from prhl import certificates, cli
 from prhl.assertions import eval_assertion
 from prhl.syntax import (
     Assertion,
     Assign,
+    BAnd,
     BinOp,
     BNot,
     Bool,
+    BOr,
     Choice,
     Const,
     Empty,
     Eq,
     Exists,
+    Implies,
     Le,
     ParseError,
     Seq,
@@ -53,10 +61,12 @@ from prhl.syntax import (
     parse_program,
     print_assertion,
     print_bool,
+    print_expr,
     print_program,
     prog_vars,
     seq_of,
     subst,
+    tokenize,
     units,
 )
 
@@ -155,6 +165,10 @@ def test_parse_errors_carry_position():
         parse_assertion("exists x (x = 0)")
     with pytest.raises(ParseError):
         parse_program("while x < do { skip }")
+    # a numeral past Python's limit on digits
+    with pytest.raises(ParseError, match="numeral of 5000 digits is too long .*column 6"):
+        parse_program("x := " + "1" * 5000)
+    assert parse_program("x := " + "1" * 4000).expr is Const(int("1" * 4000))
 
 
 @given(SEEDS)
@@ -204,6 +218,139 @@ def test_print_parse_round_trip_expressions(seed):
     e = gen_expr(rng, NAMES, 3)
     p = parse_program("y := " + print_program(Assign("y", e))[5:])
     assert p.expr == e
+
+
+def test_operator_table_groups_and_binds():
+    x, i = Var("x"), Var("i")
+    one = Const(1)
+    # -> groups to the right, the arithmetic operators to the left
+    assert parse_assertion("x = 1 -> i = 1 -> x = i") is Implies(Bool(Eq(x, one)), Implies(Bool(Eq(i, one)), Bool(Eq(x, i))))
+    assert parse_program("x := x - i - 1").expr is BinOp("-", BinOp("-", x, i), one)
+    assert parse_program("x := x - (i - 1)").expr is BinOp("-", x, BinOp("-", i, one))
+    # ! takes what binds tighter than &&, a quantifier takes all it can
+    assert parse_assertion("!x + 1 = i && x = 1") is Bool(BAnd(BNot(Eq(BinOp("+", x, one), i)), Eq(x, one)))
+    assert print_assertion(parse_assertion("!exists i. i = x && x = 1")) == "!(exists i. i = x && x = 1)"
+    # a parenthesis holds an expression or an assertion, read once
+    assert parse_assertion("((x + 1)) * 2 = ((i))") is Bool(Eq(BinOp("*", BinOp("+", x, one), Const(2)), i))
+    assert parse_assertion("((x = 1)) || i = 1") is Bool(BOr(Eq(x, one), Eq(i, one)))
+    # a + that a new assignment follows starts a choice
+    assert parse_program("x := 1 + i + i := 2") is Choice(Assign("x", BinOp("+", one, i)), Assign("i", Const(2)))
+    assert parse_program("x := 1 + skip") is Choice(Assign("x", one), Empty())
+
+
+@pytest.mark.parametrize(
+    "assertion, expr",
+    [
+        ("x", "x = 1"),
+        ("(x)", "(x = 1)"),
+        ("1 + 2", "true"),
+        ("!x", "x + (i = 1)"),
+        ("exists i. i", "exists i. i = 1"),
+        ("x = 1 && i", "!(x = 1)"),
+        ("x -> i = 1", "x * (1 <= 2)"),
+        ("x = 1 = 1", "x = 1 = 1"),
+        ("x < i <= 1", "(x) = (1 = 1)"),
+        ("(x = 1) = 1", "true + 1"),
+    ],
+)
+def test_terms_of_the_wrong_kind_are_rejected(assertion, expr):
+    # an expression where an assertion is needed, and the reverse;
+    # comparisons do not chain
+    with pytest.raises(ParseError):
+        parse_assertion(assertion)
+    with pytest.raises(ParseError):
+        parse_program(f"x := {expr}")
+
+
+def test_nesting_too_deep_is_a_parse_error():
+    assert parse_assertion("(" * 400 + "x = 1" + ")" * 400) is Bool(Eq(Var("x"), Const(1)))
+    for text, parse in (
+        ("(" * 2000 + "x = 1" + ")" * 2000, parse_assertion),
+        ("x := " + "(" * 2000 + "1" + ")" * 2000, parse_program),
+        ("(" * 2000 + "x := 1" + ")" * 2000, parse_program),
+        ("!" * 2000 + "x = 1", parse_assertion),
+    ):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse(text)
+
+
+def _read(parse, text):
+    """The node ``parse`` reads from ``text``, or None if it rejects it."""
+    try:
+        return parse(text)
+    except ParseError:
+        return None
+
+
+def _mutants(rng, text):
+    """``text`` with one token dropped, one token doubled and two swapped."""
+    toks = [v for _, v, _ in tokenize(text)[:-1]]
+    i, j = rng.randrange(len(toks)), rng.randrange(len(toks))
+    swapped = list(toks)
+    swapped[i], swapped[j] = toks[j], toks[i]
+    return [" ".join(toks[:i] + toks[i + 1 :]), " ".join(toks[: i + 1] + toks[i:]), " ".join(swapped)]
+
+
+@given(SEEDS)
+@settings(deadline=None)
+def test_parsers_match_the_descent_reference(seed):
+    # every text, and every mutant of it, reads to the same node under the
+    # precedence-climbing parser and the eight-level descent, or neither
+    rng = random.Random(seed)
+    e, f = print_expr(gen_expr(rng, NAMES, 2)), print_expr(gen_expr(rng, NAMES, 1))
+    prog = print_program(gen_prog(rng, NAMES, 3))
+    texts = [
+        print_assertion(gen_assertion(rng, NAMES, 4, quant=True, guards=True)),
+        print_bool(gen_bool(rng, NAMES, 3)),
+        prog,
+        *_if_texts(rng, 3, iter(["t"] + [f"t_p{k}" for k in range(1, 64)])),
+        f"x := {e} + i := {f}; {prog}",
+        f"x := {e} + {f} + ({prog})",
+        f"{e} >= {f} -> !({e} > {f}) || {f} != {e} && {e} < {f}",
+    ]
+    for text in texts + [m for t in texts for m in _mutants(rng, t)]:
+        assert _read(parse_program, text) is _read(parse_program_ref, text)
+        assert _read(parse_assertion, text) is _read(parse_assertion_ref, text)
+
+
+@pytest.mark.parametrize("path", sorted(Path("corpus").iterdir()), ids=lambda p: p.name)
+def test_corpus_reads_as_under_the_descent_reference(path, monkeypatch):
+    if path.suffix == ".json":
+        module, read = certificates, lambda: certificates.parse_proof(path.read_text())
+    else:
+        module, read = cli, lambda: cli.read_triple_file(str(path))
+    got = read()
+    monkeypatch.setattr(module, "parse_program", parse_program_ref)
+    monkeypatch.setattr(module, "parse_assertion", parse_assertion_ref)
+    assert read() == got
+
+
+@given(SEEDS)
+def test_printer_matches_the_reference(seed):
+    rng = random.Random(seed)
+    terms = (gen_assertion(rng, NAMES, 4, quant=True, guards=True), gen_bool(rng, NAMES, 3), gen_expr(rng, NAMES, 3))
+    for t in (s for term in terms for s in subterms(term)):
+        assert print_assertion(t) == print_ref(t)
+
+
+# the grammar's alphabet: keywords, operators, names, numerals up to 5,000
+# digits, runs of "(" deep enough to pass the nesting limit, and a stray byte
+_TOKENS = st.one_of(
+    st.sampled_from(
+        "skip while do if then else invariant exists forall true false x i t_p1 "
+        ":= <= >= != && || -> ( ) + - * / % = { } ; ! < > . # @".split()
+    ),
+    st.integers(1, 5000).map(lambda n: str(n % 10) * n),
+    st.integers(1, 1200).map(lambda n: "(" * n),
+)
+
+
+@given(st.lists(_TOKENS, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_parse_errors(tokens):
+    text = " ".join(tokens)
+    for parse in (parse_program, parse_assertion):
+        _read(parse, text)
 
 
 # --- substitution -------------------------------------------------------------

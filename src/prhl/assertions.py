@@ -12,7 +12,8 @@ witness, or a body value in its range was itself bound-relative,
 anywhere in the deciding part of the formula.  Both sides are compiled
 once per question by ``semantics.compile_assertions`` and run on value
 tuples; ``eval_assertion`` is the one-store entry taking a ``State``.
-Entailment checks enumerate stores over the free variables and report:
+Entailment checks enumerate stores over the free variables, evaluating the
+hypothesis only where the conclusion is not certainly true, and report:
 
 * Invalid with the first (store-order) counterexample whose evaluation is
   bound-independent;
@@ -51,16 +52,19 @@ def entails(
     hyp: Assertion, concl: Assertion, bounds: Bounds, extra_vars: Iterable[str] = ()
 ) -> Verdict:
     """Does every store satisfying ``hyp`` satisfy ``concl``?  Enumerates
-    stores over the union of free variables, 0..domain_max each."""
+    stores over the union of free variables, 0..domain_max each; at each,
+    the conclusion first and the hypothesis only where that is not certain."""
     names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
     h, c = compile_assertions(names, bounds.quant_bound, hyp, concl)
     flagged_cex = False
     valid_flags = False
     for st in store_tuples(names, bounds.domain_max):
+        cv, cf = c(st)
+        if cv and not cf:
+            continue  # certainly inside the conclusion: no branch below fires
         hv, hf = h(st)
         if not hv and not hf:
             continue  # certainly outside the hypothesis
-        cv, cf = c(st)
         if hv and not cv:
             if not hf and not cf:
                 return Verdict("invalid", witness=State(zip(names, st)))

@@ -138,24 +138,33 @@ def to_tree(proof: PrhlProof) -> PrhlNode:
 # --- serialization ----------------------------------------------------------
 
 
-def _triple_json(t: Triple) -> dict:
+def _once(memo: dict, f, x):
+    """``f(x)``, computed once per distinct ``(f, x)`` kept in ``memo``."""
+    if (f, x) not in memo:
+        memo[f, x] = f(x)
+    return memo[f, x]
+
+
+def _triple_json(t: Triple, printed: dict) -> dict:
     return {
-        "pre": print_assertion(t.pre),
-        "prog": print_program(t.prog),
-        "post": print_assertion(t.post),
+        "pre": _once(printed, print_assertion, t.pre),
+        "prog": _once(printed, print_program, t.prog),
+        "post": _once(printed, print_assertion, t.post),
     }
 
 
 def serialize_proof(proof: PrhlProof | CyclicPreProof | PrhlNode) -> str:
+    """The certificate's JSON text; each distinct node is printed once."""
     if isinstance(proof, PrhlNode):
         proof = proof.to_proof()
+    printed: dict = {}
     doc: dict = {
         "system": "cprhl" if isinstance(proof, CyclicPreProof) else "prhl",
         "root": proof.root,
         "nodes": {
             nid: {
                 "rule": n.rule,
-                "triple": _triple_json(n.triple),
+                "triple": _triple_json(n.triple, printed),
                 "children": list(n.children),
                 **({"fresh": n.fresh} if n.fresh is not None else {}),
             }
@@ -176,16 +185,16 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-def _parse_triple(obj, nid: str) -> Triple:
+def _parse_triple(obj, nid: str, parsed: dict) -> Triple:
     if not isinstance(obj, dict) or set(obj) != {"pre", "prog", "post"}:
         raise CertificateError(f"malformed triple at node {nid!r}")
     if not all(isinstance(v, str) for v in obj.values()):
         raise CertificateError(f"malformed triple at node {nid!r}: a field is not a string")
     try:
         return Triple(
-            parse_assertion(obj["pre"]),
-            parse_program(obj["prog"]),
-            parse_assertion(obj["post"]),
+            _once(parsed, parse_assertion, obj["pre"]),
+            _once(parsed, parse_program, obj["prog"]),
+            _once(parsed, parse_assertion, obj["post"]),
         )
     except ParseError as e:
         raise CertificateError(f"unparseable triple at node {nid!r}: {e}") from e
@@ -198,6 +207,10 @@ def parse_proof(text: str) -> PrhlProof | CyclicPreProof:
     resolution, tree-ness (each node one parent, all reachable from the
     root), and backlink sanity: sources must be open leaves, targets must
     exist, be inner nodes, and carry a structurally identical triple.
+
+    Each distinct field text is parsed once: nodes are interned and a
+    program is parsed with no names to avoid, so a parse depends on its
+    text alone.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
@@ -217,6 +230,7 @@ def parse_proof(text: str) -> PrhlProof | CyclicPreProof:
         raise CertificateError(f"root {root!r} is not a node id")
 
     nodes: dict[str, ProofNode] = {}
+    parsed: dict = {}
     for nid, raw in raw_nodes.items():
         if not isinstance(raw, dict):
             raise CertificateError(f"malformed node {nid!r}")
@@ -233,7 +247,7 @@ def parse_proof(text: str) -> PrhlProof | CyclicPreProof:
         fresh = raw.get("fresh")
         if fresh is not None and not isinstance(fresh, str):
             raise CertificateError(f"malformed fresh variable at node {nid!r}")
-        nodes[nid] = ProofNode(rule, _parse_triple(raw.get("triple"), nid), tuple(children), fresh)
+        nodes[nid] = ProofNode(rule, _parse_triple(raw.get("triple"), nid, parsed), tuple(children), fresh)
 
     # tree shape: children resolve, unique parents, all reachable
     parents: dict[str, str] = {}

@@ -17,9 +17,10 @@ from oracles import (
     models_tautology,
     past_bound,
 )
+from prhl import assertions
 from prhl.assertions import BoundedOracle, entails, eval_assertion
 from prhl.semantics import Bounds, State, Verdict
-from prhl.syntax import And, Bool, Exists, Forall, Implies, Not, Or, free_vars
+from prhl.syntax import TRUE, And, Bool, Exists, Forall, Implies, Not, Or, free_vars
 from prhl.syntax import parse_assertion as pa
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -105,6 +106,25 @@ def test_entails_extra_vars_widen_the_box():
     b = Bounds(2, 100, 16)
     assert entails(pa("true"), pa("x = 0"), b).is_invalid
     assert entails(pa("true"), pa("x = 0"), b, extra_vars=()).witness == State(x=1)
+
+
+def test_entails_true_never_evaluates_the_hypothesis(monkeypatch):
+    # the conclusion holds with certainty at every store, so no store can
+    # be a counterexample or flag the answer: the hypothesis is not asked
+    hyp = pa("exists y. y * y = x + 400")
+    b = Bounds(3, 100, 16)
+    assert eval_assertion(hyp, State(x=1), b.quant_bound) == (False, True)  # bound-relative
+    calls = []
+    real = assertions.compile_assertions
+
+    def spy(box, qb, *sides):
+        return [lambda st, f=f, i=i: calls.append(i) or f(st) for i, f in enumerate(real(box, qb, *sides))]
+
+    monkeypatch.setattr(assertions, "compile_assertions", spy)
+    assert entails(hyp, TRUE, b) == Verdict("valid")
+    assert calls == [1] * (b.domain_max + 1)
+    monkeypatch.undo()
+    assert entails_ref(hyp, TRUE, b) == Verdict("valid")
 
 
 def test_models_tautology():

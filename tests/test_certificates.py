@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prhl import certificates
 from prhl.certificates import (
     CPRHL_ARITY,
     PRHL_ARITY,
@@ -20,6 +21,8 @@ from prhl.certificates import (
     serialize_proof,
     to_tree,
 )
+from prhl.prover import transform_to_cyclic
+from prhl.syntax import Empty, ParseError
 from prhl.syntax import parse_assertion as pa, parse_program as pp
 
 
@@ -95,6 +98,67 @@ def test_corpus_certificates_parse():
     with open("corpus/ex4_literal.cprhl.json") as fh:
         c = parse_proof(fh.read())
     assert isinstance(c, CyclicPreProof) and len(c.nodes) == 9
+
+
+def _ex3_text(cyclic: bool) -> str:
+    """corpus/ex3_prhl.json, or the text of its cyclic transform."""
+    with open("corpus/ex3_prhl.json") as fh:
+        text = fh.read()
+    if not cyclic:
+        return text
+    tree = to_tree(parse_proof(text))
+    return serialize_proof(transform_to_cyclic(tree, Empty(), tree.triple.post))
+
+
+def _spy(monkeypatch, names):
+    calls = []
+    for name in names:
+        real = getattr(certificates, name)
+        monkeypatch.setattr(certificates, name, lambda x, real=real, name=name: calls.append((name, x)) or real(x))
+    return calls
+
+
+@pytest.mark.parametrize("cyclic", [False, True], ids=["prhl", "cprhl"])
+def test_each_distinct_text_is_parsed_once_and_each_node_printed_once(monkeypatch, cyclic):
+    text = _ex3_text(cyclic)
+    fields = [
+        (("parse_program" if k == "prog" else "parse_assertion"), v)
+        for n in json.loads(text)["nodes"].values()
+        for k, v in sorted(n["triple"].items())
+    ]
+    parses = _spy(monkeypatch, ["parse_assertion", "parse_program"])
+    proof = parse_proof(text)
+    assert len(fields) > len(set(fields))  # texts repeat, so sharing shows
+    assert sorted(parses) == sorted(set(fields))
+    # the nodes a reparse of every field would give
+    for nid, raw in json.loads(text)["nodes"].items():
+        t = raw["triple"]
+        assert proof.nodes[nid].triple == Triple(pa(t["pre"]), pp(t["prog"]), pa(t["post"]))
+
+    prints = _spy(monkeypatch, ["print_assertion", "print_program"])
+    out = serialize_proof(proof)
+    terms = [(("print_program" if k == "prog" else "print_assertion"), getattr(n.triple, k))
+             for n in proof.nodes.values() for k in ("pre", "prog", "post")]
+    assert len(prints) == len(set(prints)) == len(set(terms))
+    assert set(prints) == set(terms)
+    monkeypatch.undo()
+    # parse -> serialize round-trips byte for byte
+    assert serialize_proof(parse_proof(out)) == out
+    if cyclic:  # a text serialize_proof wrote
+        assert out == text
+
+
+def test_a_repeated_unparseable_text_is_reported_at_its_first_node():
+    with pytest.raises(ParseError) as pe:
+        pp("x :=")
+
+    def both(d):
+        d["nodes"]["c2"]["triple"]["prog"] = "x :="
+        d["nodes"]["c4"]["triple"]["prog"] = "x :="
+
+    with pytest.raises(CertificateError) as e:
+        parse_proof(mutate(both))
+    assert str(e.value) == f"unparseable triple at node 'c2': {pe.value}"
 
 
 def test_proof_graph_edge_count():

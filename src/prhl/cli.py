@@ -422,10 +422,15 @@ def _build_parser() -> _Parser:
     return top
 
 
+_parser: _Parser | None = None  # built on the first call, reused by the rest
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

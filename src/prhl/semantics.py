@@ -153,8 +153,26 @@ def _compile_expr(e, slot: Mapping[str, int]) -> Callable[[tuple], int]:
     if isinstance(e, Const):
         return lambda st, c=e.value: c
     if isinstance(e, BinOp):
-        op, f, g = _OPS[e.op], _compile_expr(e.left, slot), _compile_expr(e.right, slot)
-        return lambda st: op(f(st), g(st))
+        # the left spine in a loop: a chain of two or more links folds in
+        # one closure, each link with its own operator, so a chain
+        # thousands of terms long nests no deeper than a short one
+        links = []
+        while isinstance(e, BinOp):
+            links.append((_OPS[e.op], _compile_expr(e.right, slot)))
+            e = e.left
+        f = _compile_expr(e, slot)
+        if len(links) == 1:
+            ((op, g),) = links
+            return lambda st: op(f(st), g(st))
+        links.reverse()
+
+        def fold(st):
+            v = f(st)
+            for op, g in links:
+                v = op(v, g(st))
+            return v
+
+        return fold
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -646,28 +664,34 @@ def check_triple(
     pre_of, post_of = compile_assertions(names, bounds.quant_bound, pre, post)
     eval_post = functools.cache(post_of)
 
-    # rows: (s0, s0 in the pre, that bound-relative, the runs from s0) for
-    # every s0 in the box whose names outside the live set are 0, so a
-    # query costs the same whatever share of the box its pre holds on.  A
-    # name is live when the pre reads it or some run may read it (in a
-    # guard or an assigned value) or leave it for the post before writing
-    # it; incorrectness compares whole finals, so there every name is left
-    # for the post.  The others never steer a run nor reach the pre or the
-    # post, so each store of the full box has the same label paths, the
-    # same finals on the live-out names at the same least depths as its
-    # twin with them at 0, which comes first in box order: the same
-    # verdict and witness.  Only a cap can tell the two apart, as their
-    # configurations that differ in a dead name merge on one side and not
-    # on the other: the work cap, or the step bound at the very depth
-    # where one run comes back to a configuration it has visited.  Then
-    # one of the two answers is Unknown for that cap; neither is unsound.
+    # rows: (box index, s0, its pre value bound-relative, the runs from
+    # s0) for every s0 that can witness: outside the pre under
+    # partial-reverse, inside it under the other logics, flagged under
+    # any.  The loops below read no other row, so no other store is
+    # explored, and a query's cost follows the share of the box on the
+    # witness side of its pre.  s0 ranges over the box whose names
+    # outside the live set are 0.  A name is live when the pre reads it
+    # or some run may read it (in a guard or an assigned value) or leave
+    # it for the post before writing it; incorrectness compares whole
+    # finals, so there every name is left for the post.  The others
+    # never steer a run nor reach the pre or the post, so each store of
+    # the full box has the same label paths, the same finals on the
+    # live-out names at the same least depths as its twin with them at
+    # 0, which comes first in box order: the same verdict and witness.
+    # Only a cap can tell the two apart, as their configurations that
+    # differ in a dead name merge on one side and not on the other: the
+    # work cap, or the step bound at the very depth where one run comes
+    # back to a configuration it has visited.  Then one of the two
+    # answers is Unknown for that cap; neither is unsound.
     out = names if logic == "incorrectness" else free_vars(post)
     live = free_vars(pre) | live_vars(prog, out)
     axes = [range(bounds.domain_max + 1) if n in live else (0,) for n in names]
+    side = logic != "partial-reverse"  # the pre value of a store that can witness
     rows = []
-    for s0 in itertools.product(*axes):
+    for idx, s0 in enumerate(itertools.product(*axes)):
         pv, pfl = pre_of(s0)
-        rows.append((s0, pv, pfl, explore(compiled, s0, bounds.step_bound)))
+        if pfl or pv == side:
+            rows.append((idx, s0, pfl, explore(compiled, s0, bounds.step_bound)))
 
     clean: list[tuple] = []  # (depth/index, index, final, stores of the witness)
     budget_risk = None  # the cap that cut a run where a counterexample could hide
@@ -677,29 +701,25 @@ def check_triple(
         # counterexample: a run s0 ->* f with s0 outside the pre and f in
         # the post (partial-reverse), or the other way round (partial-hoare)
         hoare = logic == "partial-hoare"
-        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
-            if pre_true != hoare and not pre_flags:
-                continue  # s0 certainly cannot witness
+        for idx, s0, pre_flags, r in rows:
             budget_risk = budget_risk or r.cause
             for f, depth in r.finals.items():
                 fv, ffl = eval_post(f)
                 if fv == hoare and not ffl:
                     continue
-                if pre_true == hoare and not pre_flags and not ffl:
+                if not pre_flags and not ffl:
                     clean.append((depth, idx, f, (s0, f)))
                 else:
                     quant_risk = True
     elif logic == "total-hoare":
         # counterexample: s0 in pre with no terminating run into post
-        for idx, (s0, pre_true, pre_flags, r) in enumerate(rows):
-            if not pre_true and not pre_flags:
-                continue
+        for idx, s0, pre_flags, r in rows:
             finals = [eval_post(f) for f in r.finals]
             if any(v and not fl for v, fl in finals):
                 continue  # certainly has a run into the post
             if r.exhausted:
                 budget_risk = budget_risk or r.cause
-            elif pre_true and not pre_flags and not any(v or fl for v, fl in finals):
+            elif not pre_flags and not any(v or fl for v, fl in finals):
                 clean.append((idx, 0, (), (s0,)))
             else:
                 quant_risk = True
@@ -708,12 +728,11 @@ def check_triple(
         reach_cert: set[tuple] = set()
         reach_poss: set[tuple] = set()
         poss_cut = None
-        for _, pre_true, pre_flags, r in rows:
-            if pre_true and not pre_flags:
+        for *_, pre_flags, r in rows:
+            if not pre_flags:
                 reach_cert.update(r.finals)
-            if pre_true or pre_flags:
-                reach_poss.update(r.finals)
-                poss_cut = poss_cut or r.cause
+            reach_poss.update(r.finals)
+            poss_cut = poss_cut or r.cause
         for idx, f in enumerate(store_tuples(names, bounds.domain_max)):
             fv, ffl = eval_post(f)
             if not fv and not ffl or f in reach_cert:

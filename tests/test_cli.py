@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -127,6 +130,26 @@ def test_run_long_program_answers(n, tmp_path, capsys):
     assert main(["run", write(tmp_path, "long.while", text), "--format", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"finals": [{"state": {"x": total}, "steps": n}], "truncated": False, "exhausted": False}
+
+
+def _long_sum(n):
+    return "x := " + " + ".join(["1"] * n)
+
+
+@pytest.mark.parametrize("n", [3000, 10000])
+def test_long_sum_answers(n, tmp_path, capsys):
+    # one assignment of a term n links long: the compiled term folds its
+    # left spine in a loop rather than nesting a closure per link
+    assert main(["run", write(tmp_path, "sum.while", _long_sum(n))]) == 0
+    assert capsys.readouterr().out == f"{{x: {n}}}\n"
+    assert main(["run", write(tmp_path, "chain.while", f"x := {n + 7}" + " - 1" * n)]) == 0
+    assert capsys.readouterr().out == "{x: 7}\n"
+    t = write(tmp_path, "sum.triple", f"pre: x = 0\nprog: {_long_sum(n)}\npost: x = {n}\n")
+    for logic in ("total-hoare", "partial-hoare"):
+        assert main(["check-triple", t, "--logic", logic]) == 0
+        assert capsys.readouterr().out == "VALID\n"
+    assert main(["check-triple", t]) == 1
+    assert capsys.readouterr().out == f"INVALID witness: {{x: 1}} -> {{x: {n}}}\n"
 
 
 def test_run_rejects_bad_state_binding(prog_file, capsys):
@@ -546,3 +569,32 @@ def test_negative_unroll_depth_rejected(capsys):
 def test_missing_file_is_reported(capsys):
     assert main(["check-triple", "corpus/zzz.triple"]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+# --- one parser per process ---------------------------------------------------------
+
+
+def test_main_builds_the_parser_once(prog_file, monkeypatch, capsys):
+    real, builds = cli._build_parser, []
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or real())
+    for argv in (["run", prog_file], ["run", prog_file, "--state", "x=1"], ["nope"], ["beta-encode", "1,2"]):
+        main(argv)
+    assert len(builds) == 1
+    capsys.readouterr()
+
+
+def test_reused_parser_answers_as_a_fresh_process(prog_file, capsys):
+    # a failed parse midway through --state, between two good ones, leaves
+    # nothing behind: each call prints what it prints in a process of its own
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in (
+        ["run", prog_file, "--state", "x=1"],
+        ["run", prog_file, "--state", "x=5", "--format", "bogus"],
+        ["run", prog_file],
+    ):
+        code = main(argv)
+        got = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "prhl.cli", *argv], capture_output=True, text=True, env=env)
+        assert (code, got.out, got.err) == (alone.returncode, alone.stdout, alone.stderr)
+    assert code == 0 and got.out == "{x: 0}\n{x: 1}\n"

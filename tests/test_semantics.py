@@ -3,6 +3,7 @@
 import functools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from oracles import (
     exactness_error,
     gen_assertion,
     gen_bool,
+    gen_expr,
     gen_prog,
     gen_state,
     has_cycle_ref,
@@ -31,6 +33,7 @@ from prhl import semantics
 from prhl.semantics import (
     LOGICS,
     STEP_DEPTH,
+    VALUE_BIT_CAP,
     VALUE_WIDTH,
     WORK_CAP,
     Bounds,
@@ -46,10 +49,13 @@ from prhl.semantics import (
 from prhl.assertions import eval_assertion
 from prhl.syntax import (
     Assign,
+    BinOp,
     Bool,
     Choice,
     Const,
     Empty,
+    Exists,
+    Forall,
     Seq,
     free_vars,
     live_vars,
@@ -122,6 +128,22 @@ def test_eval_expr_totalized():
         assert evaluate(expr("x - 3"), s) == 4
         assert evaluate(expr("x * 2 + 1"), s) == 15
         assert evaluate(expr("x % 4"), s) == 3
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_long_mixed_chains_match_the_tree_walker(seed):
+    # a left spine of + - * / % links, with divisors and moduli that are
+    # often 0, folds in one closure from two links on; a value past the
+    # cap ends the run
+    rng = random.Random(seed)
+    e = gen_expr(rng, NAMES, 1)
+    for _ in range(rng.choice((1, 2, 3, rng.randrange(4, 400)))):
+        e = BinOp(rng.choice("+-*/%"), e, gen_expr(rng, NAMES, 1))
+    s = gen_state(rng, NAMES, 3)
+    want = eval_expr(e, s)
+    finals = run_all(Assign("y", e), s, 1).finals
+    assert finals == ({} if want.bit_length() > VALUE_BIT_CAP else {s.set("y", want): 1})
 
 
 def test_eval_bool():
@@ -743,7 +765,9 @@ TWO_IFS = "if x < 3 then { y := 1 } else { y := 2 }; if y = 1 then { z := x } el
 
 def test_two_ifs_enumerate_only_the_live_names(monkeypatch):
     # t and t_p1, the flags, are written before they are read: 9^3 stores
-    # over x, y and z instead of 9^5, with the full box's verdicts
+    # over x, y and z instead of 9^5, with the full box's verdicts; of
+    # those, only the stores that can witness are explored: the 6/9 with
+    # x >= 3 under partial-reverse, the 3/9 with x < 3 under the others
     pre, p, post = parse_assertion("x < 3"), parse_program(TWO_IFS), parse_assertion("z = x")
     assert relevant_vars(pre, p, post) == ["t", "t_p1", "x", "y", "z"]
     real, calls = semantics.explore, []
@@ -752,16 +776,62 @@ def test_two_ifs_enumerate_only_the_live_names(monkeypatch):
     for logic in LOGICS:
         calls.clear()
         pruned[logic] = check_triple(logic, pre, p, post, Bounds())
-        assert len(calls) == 9**3
+        assert len(calls) == {"partial-reverse": 486}.get(logic, 243)
     # the full box: every name live
     monkeypatch.setattr(semantics, "live_vars", lambda prog, out: prog_vars(prog) | frozenset(out))
     for logic in LOGICS:
         calls.clear()
         assert check_triple(logic, pre, p, post, Bounds()) == pruned[logic]
-        assert len(calls) == 9**5
+        assert len(calls) == {"partial-reverse": 39366}.get(logic, 19683)
     # finals with z = x come only from x < 3; the post store {} (x = z = 0,
     # y = 0) is reached by no run, since every run leaves y at 1 or 2
     assert [pruned[logic] for logic in LOGICS] == [Verdict("valid")] * 3 + [Verdict("invalid", witness=State())]
+
+
+@given(SEEDS)
+@settings(max_examples=60, deadline=None)
+def test_check_triple_explores_only_the_stores_that_can_witness(seed):
+    # the start stores explored are, in box order, those whose pre value is
+    # flagged or on the witness side (false under partial-reverse, true
+    # under the others); quantified pres at quantifier bounds of 0 and 1
+    # make flagged ones, in about a quarter of the cases
+    rng = random.Random(seed)
+    p = _gen_with_dead_names(rng) if rng.random() < 0.5 else gen_prog(rng, NAMES, 2)
+    pre = gen_assertion(rng, NAMES + ["q"], 2, quant=0.5, guards=True)
+    if rng.random() < 0.8:
+        pre = rng.choice((Exists, Forall))("q", pre)
+    post = gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True)
+    b = Bounds(domain_max=rng.randrange(1, 3), step_bound=rng.choice([3, 40, 500]), quant_bound=rng.randrange(2))
+    names = relevant_vars(pre, p, post)
+    for logic in LOGICS:
+        live = _live_box(logic, pre, p, post)
+        box = [s for s in enumerate_states(names, b.domain_max) if live >= s.as_dict().keys()]
+        values = [eval_assertion(pre, s, b.quant_bound) for s in box]
+        side = logic != "partial-reverse"
+        want = [tuple(s.get(n) for n in names) for s, (v, fl) in zip(box, values) if fl or v == side]
+        with mock.patch.object(semantics, "explore", wraps=semantics.explore) as spy:
+            got = check_triple(logic, pre, p, post, b)
+        assert [c.args[1] for c in spy.call_args_list] == want
+        # the reference explores the whole box: as in the pruned-box test,
+        # the two may differ only where a cap cuts a store and its twin apart
+        ref = check_triple_ref(logic, pre, p, post, b, evaluate=eval_assertion)
+        if got != ref:
+            assert _cut_apart(logic, pre, p, post, b)
+            assert any(v.is_unknown and v.reason in CAPS for v in (got, ref))
+
+
+def test_flagged_start_stores_are_explored_in_every_logic(monkeypatch):
+    # x = 0 holds, x = 1 fails, and x = 2, 3 hold only up to the quantifier
+    # bound: partial-reverse explores 1, 2, 3 and the other logics 0, 2, 3
+    pre, p, post = parse_assertion("x = 0 || forall q. q <= x"), parse_program("x := x + 1"), parse_assertion("true")
+    b = Bounds(domain_max=3, quant_bound=2)
+    assert [eval_assertion(pre, State(x=x), 2) for x in range(4)] == [(True, False), (False, False)] + [(True, True)] * 2
+    real, calls = semantics.explore, []
+    monkeypatch.setattr(semantics, "explore", lambda c, s0, n: calls.append(s0[c.names.index("x")]) or real(c, s0, n))
+    for logic in LOGICS:
+        calls.clear()
+        check_triple(logic, pre, p, post, b)
+        assert calls == ([1, 2, 3] if logic == "partial-reverse" else [0, 2, 3])
 
 
 # --- what cut a run ----------------------------------------------------------------

@@ -14,6 +14,7 @@ PRHL_STEP_BOUND / PRHL_QUANT_BOUND, then to the built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -365,6 +366,7 @@ def _cmd_beta_encode(args) -> int:
 # --- argument wiring --------------------------------------------------------
 
 
+@functools.cache  # built on the first call, reused by the rest
 def _build_parser() -> _Parser:
     top = _Parser(prog="prhl", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -422,15 +424,9 @@ def _build_parser() -> _Parser:
     return top
 
 
-_parser: _Parser | None = None  # built on the first call, reused by the rest
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

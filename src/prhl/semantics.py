@@ -155,7 +155,8 @@ def _compile_expr(e, slot: Mapping[str, int]) -> Callable[[tuple], int]:
     if isinstance(e, BinOp):
         # the left spine in a loop: a chain of two or more links folds in
         # one closure, each link with its own operator, so a chain
-        # thousands of terms long nests no deeper than a short one
+        # thousands of terms long nests no deeper than a short one; a
+        # single link keeps the binary closure, which the loop slows
         links = []
         while isinstance(e, BinOp):
             links.append((_OPS[e.op], _compile_expr(e.right, slot)))

@@ -574,13 +574,11 @@ def test_missing_file_is_reported(capsys):
 # --- one parser per process ---------------------------------------------------------
 
 
-def test_main_builds_the_parser_once(prog_file, monkeypatch, capsys):
-    real, builds = cli._build_parser, []
-    monkeypatch.setattr(cli, "_parser", None)
-    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or real())
+def test_main_builds_the_parser_once(prog_file, capsys):
+    cli._build_parser.cache_clear()
     for argv in (["run", prog_file], ["run", prog_file, "--state", "x=1"], ["nope"], ["beta-encode", "1,2"]):
         main(argv)
-    assert len(builds) == 1
+    assert cli._build_parser.cache_info().misses == 1
     capsys.readouterr()
 
 

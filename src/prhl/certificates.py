@@ -30,6 +30,9 @@ Triples are stored as concrete syntax and parsed back through the
 canonicalizing parser, so serialization round-trips up to normal form.
 Cons premises do not restate the entailments being used; the checker
 recomputes the side conditions from the two triples.
+
+In memory both systems are this id-keyed node table (``PrhlProof``,
+``CyclicPreProof``), which no code walks by recursion.
 """
 
 from __future__ import annotations
@@ -71,13 +74,6 @@ class Triple:
     prog: Prog
     post: Assertion
 
-    def render(self) -> str:
-        return (
-            f"[| {print_assertion(self.pre)} |] "
-            f"{print_program(self.prog)} "
-            f"[| {print_assertion(self.post)} |]"
-        )
-
 
 @dataclass(frozen=True)
 class ProofNode:
@@ -102,39 +98,6 @@ class CyclicPreProof:
     backlinks: dict[str, str]
 
 
-@dataclass(frozen=True)
-class PrhlNode:
-    """Recursive in-memory derivation tree; what the prover builds."""
-
-    rule: str
-    triple: Triple
-    children: tuple["PrhlNode", ...] = ()
-
-    def to_proof(self) -> PrhlProof:
-        """Assign preorder ids n1, n2, ... and flatten."""
-        nodes: dict[str, ProofNode] = {}
-
-        def walk(node: "PrhlNode") -> str:
-            nid = f"n{len(nodes) + 1}"
-            nodes[nid] = None  # type: ignore[assignment]  # reserve preorder slot
-            kids = tuple(walk(c) for c in node.children)
-            nodes[nid] = ProofNode(node.rule, node.triple, kids)
-            return nid
-
-        root = walk(self)
-        return PrhlProof(root, nodes)
-
-
-def to_tree(proof: PrhlProof) -> PrhlNode:
-    """Inverse of ``PrhlNode.to_proof`` (ids dropped)."""
-
-    def walk(nid: str) -> PrhlNode:
-        n = proof.nodes[nid]
-        return PrhlNode(n.rule, n.triple, tuple(walk(c) for c in n.children))
-
-    return walk(proof.root)
-
-
 # --- serialization ----------------------------------------------------------
 
 
@@ -153,10 +116,8 @@ def _triple_json(t: Triple, printed: dict) -> dict:
     }
 
 
-def serialize_proof(proof: PrhlProof | CyclicPreProof | PrhlNode) -> str:
+def serialize_proof(proof: PrhlProof | CyclicPreProof) -> str:
     """The certificate's JSON text; each distinct node is printed once."""
-    if isinstance(proof, PrhlNode):
-        proof = proof.to_proof()
     printed: dict = {}
     doc: dict = {
         "system": "cprhl" if isinstance(proof, CyclicPreProof) else "prhl",

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 from .assertions import BoundedOracle
 from .certificates import (
@@ -28,10 +29,9 @@ from .certificates import (
     Triple,
     parse_proof,
     serialize_proof,
-    to_tree,
 )
 from .checker import CheckReport, check_cprhl, check_prhl
-from .prover import LOOP_MODES, ProveRequest, prove_prhl, transform_to_cyclic
+from .prover import LOOP_MODES, CyclicCapExceeded, ProveRequest, prove_prhl, transform_to_cyclic
 from .semantics import (
     LOGICS,
     STEP_DEPTH,
@@ -273,8 +273,8 @@ def _cmd_prove(args) -> int:
     names = relevant_vars(t.pre, t.prog, t.post)
     cert_path = None
     if res.proof is not None and args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_proof(res.proof.to_proof()))
+        # the text is made before the file is opened: a failure leaves it as it was
+        Path(args.output).write_text(serialize_proof(res.proof), encoding="utf-8")
         cert_path = args.output
     if args.format == "machine":
         sys.stdout.write(
@@ -315,11 +315,9 @@ def _cmd_transform(args) -> int:
         proof = parse_proof(fh.read())
     if not isinstance(proof, PrhlProof):
         raise CertificateError("transform expects an ordinary (prhl) certificate")
-    tree = to_tree(proof)
-    cyc = transform_to_cyclic(tree, Empty(), tree.triple.post)
+    cyc = transform_to_cyclic(proof, Empty(), proof.nodes[proof.root].triple.post)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_proof(cyc))
+        Path(args.output).write_text(serialize_proof(cyc), encoding="utf-8")
     report = check_cprhl(cyc, BoundedOracle(bounds), bounds, strict_fig4_assign=args.strict_fig4_assign)
     sys.stdout.write(emit_report(report, args.format))
     return _report_exit(report)
@@ -434,7 +432,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    except PrintCapExceeded as exc:  # a bound hit, not a fault of the input
+    except (PrintCapExceeded, CyclicCapExceeded) as exc:  # a bound hit, not a fault of the input
         print(f"undecided: {exc}", file=sys.stderr)
         return 2
     except (CertificateError, MissingInvariantError, ValueError, OSError) as exc:

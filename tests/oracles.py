@@ -18,9 +18,9 @@ from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from prhl.assertions import BoundedOracle, eval_assertion
-from prhl.certificates import CyclicPreProof, ProofNode, Triple
-from prhl.checker import check_prhl
-from prhl.prover import ProveRequest, prove_prhl
+from prhl.certificates import CyclicPreProof, PrhlProof, ProofNode, Triple
+from prhl.checker import check_cprhl, check_prhl, cons_sides, guard_implies
+from prhl.prover import ProveRequest, prove_prhl, transform_to_cyclic
 from prhl.semantics import (
     STEP_DEPTH,
     VALUE_BIT_CAP,
@@ -66,9 +66,11 @@ from prhl.syntax import (
     free_vars,
     fresh_var,
     parse_program,
+    print_assertion,
     print_program,
     prog_vars,
     seq_of,
+    subst,
     tokenize,
 )
 from prhl.wp import WprRequest, wpr_formula
@@ -949,6 +951,133 @@ def unroll_global_ok(proof: CyclicPreProof, depth: int | None = None) -> bool:
     return True
 
 
+# --- the recursive tree path: prover and transform ------------------------------
+
+
+class PrhlNode(NamedTuple):
+    """A derivation as a recursive tree.  The checker tests build proofs
+    with it, and the reference prover and transform below work on it."""
+
+    rule: str
+    triple: Triple
+    children: tuple = ()
+
+    def to_proof(self) -> PrhlProof:
+        """Assign preorder ids n1, n2, ... and flatten."""
+        nodes: dict[str, ProofNode] = {}
+
+        def walk(node: PrhlNode) -> str:
+            nid = f"n{len(nodes) + 1}"
+            nodes[nid] = None  # reserve the preorder slot
+            kids = tuple(walk(c) for c in node.children)
+            nodes[nid] = ProofNode(node.rule, node.triple, kids)
+            return nid
+
+        return PrhlProof(walk(self), nodes)
+
+
+def to_tree(proof: PrhlProof) -> PrhlNode:
+    """Inverse of ``PrhlNode.to_proof`` (ids dropped)."""
+
+    def walk(nid: str) -> PrhlNode:
+        n = proof.nodes[nid]
+        return PrhlNode(n.rule, n.triple, tuple(walk(c) for c in n.children))
+
+    return walk(proof.root)
+
+
+def prove_tree_ref(t: Triple, loop_mode: str, oracle: BoundedOracle) -> tuple[PrhlNode, list[str]]:
+    """The derivation ``prove_prhl`` makes of ``t`` (semantic pre-check
+    left out), built by recursion down the program, with the places of
+    its side conditions in the order they are asked."""
+    wp_mode = "beta" if loop_mode == "beta" else "invariant"
+    sides: list[str] = []
+
+    def cons(target: Triple, child: PrhlNode, where: str) -> PrhlNode:
+        if target == child.triple:
+            return child
+        sides.extend(f"{where}: {name}" for name, *_ in cons_sides(oracle, target, child.triple))
+        return PrhlNode("Cons", target, (child,))
+
+    def prove(prog: Prog, post) -> PrhlNode:
+        if isinstance(prog, Empty):
+            return PrhlNode("Axiom", Triple(post, prog, post))
+        if isinstance(prog, Assign):
+            return PrhlNode("Assign", Triple(canon(subst(post, [(prog.name, prog.expr)])), prog, post))
+        if isinstance(prog, Seq):
+            t2 = prove(prog.second, post)
+            t1 = prove(prog.first, t2.triple.pre)
+            return PrhlNode("Seq", Triple(t1.triple.pre, prog, post), (t1, t2))
+        if isinstance(prog, Choice):
+            tl, tr = prove(prog.left, post), prove(prog.right, post)
+            w = canon(Or(tl.triple.pre, tr.triple.pre))
+            cl = cons(Triple(w, prog.left, post), tl, "choice left branch")
+            cr = cons(Triple(w, prog.right, post), tr, "choice right branch")
+            return PrhlNode("Or", Triple(w, prog, post), (cl, cr))
+        w = wpr_formula(WprRequest(prog, post, wp_mode)).formula
+        inner = prove(prog.body, w)
+        body_kid = cons(Triple(guard_implies(prog.guard, w), prog.body, w), inner, "loop body")
+        wnode = PrhlNode("While", Triple(w, prog, guard_implies(prog.guard, w, negate=True)), (body_kid,))
+        return cons(Triple(w, prog, post), wnode, "loop exit")
+
+    prog = seq_of(t.prog)
+    return cons(Triple(t.pre, prog, t.post), prove(prog, t.post), "root"), sides
+
+
+def transform_tree_ref(p: PrhlNode, continuation: Prog, r) -> CyclicPreProof:
+    """``transform_to_cyclic`` by recursion down the tree, with each
+    leaf's closing passed down as a continuation function."""
+    nodes: dict[str, ProofNode] = {}
+    backlinks: dict[str, str] = {}
+
+    def reserve() -> str:
+        nid = f"c{len(nodes) + 1}"
+        nodes[nid] = None  # keep creation order
+        return nid
+
+    def fill(nid: str, rule: str, triple: Triple, kids: tuple[str, ...] = ()) -> str:
+        nodes[nid] = ProofNode(rule, triple, kids)
+        return nid
+
+    def top_close(label: Triple, env: dict) -> str:
+        closed = isinstance(seq_of(label.prog), Empty) and canon(label.pre) is canon(label.post)
+        return fill(reserve(), "Axiom" if closed else "OpenLeaf", label)
+
+    def walk(n: PrhlNode, cont: Prog, env: dict, close) -> str:
+        t = n.triple
+        if n.rule == "Axiom":
+            return close(Triple(t.post, cont, r), env)
+        if n.rule == "Seq":
+            t1, t2 = n.children
+            return walk(t1, seq_of(t2.triple.prog, cont), env, lambda _, env2: walk(t2, cont, env2, close))
+        nid = reserve()
+        label = Triple(t.pre, seq_of(t.prog, cont), r)
+        if n.rule == "Assign":
+            return fill(nid, "AssignSubst", label, (close(Triple(t.post, cont, r), env),))
+        if n.rule == "Cons":
+
+            def close_cons(inner: Triple, env2: dict) -> str:
+                cid = reserve()
+                return fill(cid, "Cons", inner, (close(Triple(t.post, cont, r), env2),))
+
+            return fill(nid, "Cons", label, (walk(n.children[0], cont, env, close_cons),))
+        if n.rule == "Or":
+            k1 = walk(n.children[0], cont, env, close)
+            return fill(nid, "Or", label, (k1, walk(n.children[1], cont, env, close)))
+        env2 = {**env, label: nid}  # While
+        exit_kid = close(Triple(t.post, cont, r), env2)
+
+        def close_loop(_, env3: dict) -> str:
+            lid = fill(reserve(), "OpenLeaf", label)
+            if label in env3:
+                backlinks[lid] = env3[label]
+            return lid
+
+        return fill(nid, "While", label, (exit_kid, walk(n.children[0], label.prog, env2, close_loop)))
+
+    return CyclicPreProof(walk(p, seq_of(continuation), {}, top_close), nodes, backlinks)
+
+
 # --- beta predicate replay ----------------------------------------------------
 
 
@@ -1100,22 +1229,29 @@ class BudgetedOracle(BoundedOracle):
 # --- soundness sweep -----------------------------------------------------------
 
 
+def render(t: Triple) -> str:
+    """A triple as ``[| pre |] prog [| post |]``."""
+    return f"[| {print_assertion(t.pre)} |] {print_program(t.prog)} [| {print_assertion(t.post)} |]"
+
+
 def sweep(seed: int, cases: int, bounds: Bounds, quantifier_budget: int = 4, depth: int = 3):
-    """Random soundness sweep of the prover and the tree checker.
+    """Random soundness sweep of the prover, the transform and both checkers.
 
     Draws ``cases`` programs over x and y with a post and a pre (for a
     loop-free program, half of the time its weakest pre-formula), proves
     each triple in beta mode, checks the certificate again and tries to
     refute the root triple of every certificate accepted without bounded
-    flags.  Returns the counts of triples refuted up front, of
-    certificates flagged or bounded and of certificates accepted cleanly,
-    and every refuted clean certificate as (case, triple, witness): a
-    soundness violation.
+    flags; each such certificate is also transformed and the cyclic
+    checker must accept the result.  Returns the counts of triples
+    refuted up front, of certificates flagged or bounded, of certificates
+    accepted cleanly and of their transforms rejected, and each
+    violation as (case, triple, witness): a refuted clean certificate,
+    or a rejected transform with the reason as its witness.
     """
     names = ("x", "y")
     rng = random.Random(seed)
     oracle = BudgetedOracle(bounds, quantifier_budget)
-    counts = {"refuted": 0, "flagged": 0, "clean": 0}
+    counts = {"refuted": 0, "flagged": 0, "clean": 0, "transform-rejected": 0}
     violations = []
     for i in range(cases):
         prog = gen_prog(rng, names, depth, const_max=3, loops=True)
@@ -1130,7 +1266,7 @@ def sweep(seed: int, cases: int, bounds: Bounds, quantifier_budget: int = 4, dep
         if res.proof is None:
             counts["refuted"] += 1
             continue
-        rep = check_prhl(res.proof.to_proof(), oracle)
+        rep = check_prhl(res.proof, oracle)
         if not rep.accepted or rep.bounded_flags:
             counts["flagged"] += 1
             continue
@@ -1138,6 +1274,11 @@ def sweep(seed: int, cases: int, bounds: Bounds, quantifier_budget: int = 4, dep
         v = check_triple("partial-reverse", t.pre, t.prog, t.post, bounds)
         if v.is_invalid:
             violations.append((i, t, v.witness))
+        cyc = check_cprhl(transform_to_cyclic(res.proof, Empty(), t.post), oracle)
+        if not cyc.accepted:
+            counts["transform-rejected"] += 1
+            why = next((f"{r.node}: {r.detail}" for r in cyc.nodes.values() if not r.ok), cyc.global_status)
+            violations.append((i, t, f"transform rejected: {why}"))
     return counts, violations
 
 

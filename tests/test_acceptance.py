@@ -12,7 +12,7 @@ import pytest
 import oracles
 from oracles import assert_holds, decode_sequence, enumerate_states, eval_bool, eval_expr
 from prhl.assertions import BoundedOracle, eval_assertion
-from prhl.certificates import CyclicPreProof, ProofNode, Triple, parse_proof, to_tree
+from prhl.certificates import CyclicPreProof, ProofNode, Triple, parse_proof
 from prhl.checker import check_cprhl, check_prhl, global_soundness, guard_implies
 from prhl.prover import ProveRequest, prove_prhl, transform_to_cyclic
 from prhl.semantics import (
@@ -167,7 +167,7 @@ def test_criterion_4():
         if res.status != "proved":
             failures.append(f"case {i}: prover status {res.status}")
             continue
-        rep = check_prhl(res.proof.to_proof(), BoundedOracle(B4))
+        rep = check_prhl(res.proof, BoundedOracle(B4))
         if not rep.accepted or rep.bounded_flags:
             failures.append(f"case {i}: certificate not cleanly accepted")
     _line(4, failures)
@@ -182,8 +182,8 @@ def test_criterion_5():
     transform ever produces a cycle of Cons nodes only."""
     failures = []
     cases = [(t, res.proof, B4) for (t, _, res) in proved_corpus() if res.proof is not None]
-    tree = to_tree(parse_proof((CORPUS / "ex3_prhl.json").read_text()))
-    cases.append((tree.triple, tree, Bounds(6, 2000, 16)))
+    ex3 = parse_proof((CORPUS / "ex3_prhl.json").read_text())
+    cases.append((ex3.nodes[ex3.root].triple, ex3, Bounds(6, 2000, 16)))
     for i, (t, proof, b) in enumerate(cases):
         cyc = transform_to_cyclic(proof, Empty(), t.post)
         rep = check_cprhl(cyc, BoundedOracle(b))

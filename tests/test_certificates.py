@@ -6,22 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import PrhlNode, render, to_tree
 from prhl import certificates
 from prhl.certificates import (
     CPRHL_ARITY,
     PRHL_ARITY,
     CertificateError,
     CyclicPreProof,
-    PrhlNode,
     PrhlProof,
     ProofNode,
     Triple,
     parse_proof,
     proof_graph,
     serialize_proof,
-    to_tree,
 )
-from prhl.prover import transform_to_cyclic
+from prhl.prover import ProveRequest, prove_prhl, transform_to_cyclic
 from prhl.syntax import Empty, ParseError
 from prhl.syntax import parse_assertion as pa, parse_program as pp
 
@@ -42,25 +41,26 @@ def test_arities():
 
 def test_triple_render():
     t = triple("x = 2", "x := x + 1", "x = 6")
-    assert t.render() == "[| x = 2 |] x := x + 1 [| x = 6 |]"
+    assert render(t) == "[| x = 2 |] x := x + 1 [| x = 6 |]"
 
 
 def test_tree_flattening_preorder():
+    # the prover names its nodes in preorder, as the tree path did
     leaf1 = PrhlNode("Assign", triple("x + 1 = 2", "x := x + 1", "x = 2"))
     leaf2 = PrhlNode("Assign", triple("x = 2", "x := x", "x = 2"))
     root = PrhlNode("Seq", triple("x + 1 = 2", "x := x + 1; x := x", "x = 2"), (leaf1, leaf2))
-    proof = root.to_proof()
+    proof = prove_prhl(ProveRequest(root.triple)).proof
     assert proof.root == "n1"
     assert list(proof.nodes) == ["n1", "n2", "n3"]
     assert proof.nodes["n1"].children == ("n2", "n3")
+    assert proof == root.to_proof()
     assert to_tree(proof) == root
 
 
 def test_serialize_is_deterministic_and_round_trips():
     leaf = PrhlNode("Assign", triple("x + 1 = 2", "x := x + 1", "x = 2"))
     root = PrhlNode("Cons", triple("x = 1", "x := x + 1", "x = 2"), (leaf,))
-    text = serialize_proof(root)
-    assert text == serialize_proof(root.to_proof())
+    text = serialize_proof(root.to_proof())
     back = parse_proof(text)
     assert isinstance(back, PrhlProof)
     assert back == root.to_proof()
@@ -106,8 +106,8 @@ def _ex3_text(cyclic: bool) -> str:
         text = fh.read()
     if not cyclic:
         return text
-    tree = to_tree(parse_proof(text))
-    return serialize_proof(transform_to_cyclic(tree, Empty(), tree.triple.post))
+    proof = parse_proof(text)
+    return serialize_proof(transform_to_cyclic(proof, Empty(), proof.nodes[proof.root].triple.post))
 
 
 def _spy(monkeypatch, names):
@@ -271,7 +271,7 @@ def test_parse_rejects_bad_backlinks():
 
 def test_prhl_certificates_cannot_carry_backlinks():
     leaf = PrhlNode("Axiom", triple())
-    doc = json.loads(serialize_proof(leaf))
+    doc = json.loads(serialize_proof(leaf.to_proof()))
     doc["backlinks"] = {"n1": "n1"}
     with pytest.raises(CertificateError) as e:
         parse_proof(json.dumps(doc))

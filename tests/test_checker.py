@@ -2,10 +2,10 @@
 
 import pytest
 
+from oracles import PrhlNode
 from prhl.assertions import BoundedOracle
 from prhl.certificates import (
     CyclicPreProof,
-    PrhlNode,
     PrhlProof,
     ProofNode,
     Triple,

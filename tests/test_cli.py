@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, bounds plumbing."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,12 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from oracles import run_all_ref
+from oracles import PrhlNode, run_all_ref
 from prhl import cli
+from prhl.certificates import PrhlProof, Triple, parse_proof, serialize_proof
+from prhl.checker import check_prhl
 from prhl.cli import main, read_triple_file
-from prhl.certificates import parse_proof
+from prhl.prover import CYCLIC_CAP
 from prhl.semantics import State
-from prhl.syntax import PRINT_CAP, parse_program
+from prhl.syntax import PRINT_CAP, PrintCapExceeded, parse_assertion as pa, parse_program, seq_of
 
 
 def write(tmp_path, name, text):
@@ -472,6 +475,73 @@ def test_transform_rejects_cyclic_input(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == "error: transform expects an ordinary (prhl) certificate\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("cmd", ["prove", "transform"])
+def test_failed_serialization_leaves_the_certificate_as_it_was(cmd, tmp_path, capsys, monkeypatch):
+    cert = str(tmp_path / "ex3.json")
+    assert main(["prove", "corpus/ex3_annotated.triple", "--loop-mode", "invariant-annotations", "-o", cert]) == 0
+    before = (tmp_path / "ex3.json").read_bytes()
+    capsys.readouterr()
+
+    def too_long(proof):
+        raise PrintCapExceeded(f"print-size-cap: the text of a term passes {PRINT_CAP} bytes")
+
+    monkeypatch.setattr(cli, "serialize_proof", too_long)
+    args = ["corpus/ex3_annotated.triple", "--loop-mode", "invariant-annotations"] if cmd == "prove" else [cert]
+    assert main([cmd, *args, "-o", cert]) == 2
+    assert capsys.readouterr().err.startswith("undecided: print-size-cap")
+    assert (tmp_path / "ex3.json").read_bytes() == before
+
+
+def choice_chain(k: int) -> PrhlProof:
+    """A prhl proof of [| true |] (x := x + 1 + skip); ... [| true |]
+    with k choices and every assertion true."""
+    true, unit = pa("true"), parse_program("x := x + 1 + skip")
+    step = PrhlNode("Or", Triple(true, unit, true), (
+        PrhlNode("Assign", Triple(true, unit.left, true)),
+        PrhlNode("Axiom", Triple(true, unit.right, true)),
+    ))
+    proof = step
+    for i in range(2, k + 1):
+        proof = PrhlNode("Seq", Triple(true, seq_of(*[unit] * i), true), (step, proof))
+    return proof.to_proof()
+
+
+def test_transform_stops_at_the_cyclic_size_cap(tmp_path, capsys):
+    # each choice walks its continuation once per arm: k choices give
+    # 3 * 2^k - 2 nodes here, where no Cons step joins an arm
+    cert, cyc = tmp_path / "chain.json", tmp_path / "chain.cyclic.json"
+    cert.write_text(serialize_proof(choice_chain(8)))
+    assert main(["transform", str(cert), "-o", str(cyc)]) == 0
+    assert len(parse_proof(cyc.read_text()).nodes) == 3 * 2**8 - 2
+    assert check_prhl(choice_chain(20)).accepted
+    cert.write_text(serialize_proof(choice_chain(20)))
+    cyc.unlink()
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["transform", str(cert), "-o", str(cyc)]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.err == f"undecided: cyclic-size-cap: the cyclic pre-proof passes {CYCLIC_CAP} nodes\n"
+    assert captured.out == "" and not cyc.exists()
+
+
+def test_long_program_certifies_without_deep_recursion(tmp_path, capsys):
+    # 300 statements under a recursion limit 100 frames above this test's
+    # own depth: a pass that recursed once per statement would stop
+    t = write(tmp_path, "swap.triple", "pre: true\nprog: " + "; ".join(["t := x; x := y; y := t"] * 100)
+              + "\npost: x + y >= 0\n")
+    cert, cyc = str(tmp_path / "swap.json"), str(tmp_path / "swap.cyclic.json")
+    steps = [["prove", t, "-o", cert], ["check-proof", cert], ["transform", cert, "-o", cyc], ["check-proof", cyc]]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        codes = [main([*step, "--domain-max", "2"]) for step in steps]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert codes == [0, 0, 0, 0], capsys.readouterr().err
+    assert len(parse_proof(Path(cert).read_text()).nodes) == 300 + 299 + 1
 
 
 # --- wp / beta-encode -------------------------------------------------------------------

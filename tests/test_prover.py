@@ -1,14 +1,23 @@
 """Certificate construction and the tree-to-cyclic transformation."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import BudgetedOracle, gen_prog, unroll_global_ok
+from oracles import (
+    BudgetedOracle,
+    gen_assertion,
+    gen_prog,
+    prove_tree_ref,
+    transform_tree_ref,
+    unroll_global_ok,
+)
 from prhl.assertions import BoundedOracle
 from prhl.certificates import Triple, parse_proof, serialize_proof
+from prhl.cli import read_triple_file
 from prhl.checker import check_cprhl, check_prhl, global_soundness
 from prhl.prover import (
     LOOP_MODES,
@@ -17,7 +26,7 @@ from prhl.prover import (
     transform_to_cyclic,
 )
 from prhl.semantics import Bounds, State
-from prhl.syntax import Empty, normalize_program, parse_assertion as pa, parse_program as pp
+from prhl.syntax import Choice, Empty, Seq, While, normalize_program, parse_assertion as pa, parse_program as pp
 from prhl.wp import MissingInvariantError, WprRequest, wpr_formula
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -27,8 +36,9 @@ LOOP3 = "while i < 5 invariant true do { x := x + i; i := i + 1 }"
 T3 = Triple(pa("true"), pp(LOOP3), pa("x > 0 && i >= 5"))
 
 
-def shape(n):
-    return (n.rule, tuple(shape(k) for k in n.children))
+def shape(proof, nid="n1"):
+    n = proof.nodes[nid]
+    return (n.rule, tuple(shape(proof, k) for k in n.children))
 
 
 def test_straight_line_proof():
@@ -36,14 +46,14 @@ def test_straight_line_proof():
     res = prove_prhl(ProveRequest(t))
     assert res.status == "proved" and res.ok
     assert shape(res.proof) == ("Cons", (("Seq", (("Assign", ()), ("Assign", ()))),))
-    assert res.proof.triple == t
-    seq = res.proof.children[0]
+    assert res.proof.nodes["n1"].triple == t
+    seq = res.proof.nodes["n2"]
     from prhl.syntax import print_assertion
 
-    assert print_assertion(seq.children[0].triple.post) == "x * 2 = 6"
+    assert print_assertion(res.proof.nodes[seq.children[0]].triple.post) == "x * 2 = 6"
     assert print_assertion(seq.triple.pre) == "(x + 1) * 2 = 6"
     assert [(s.where, s.verdict.kind) for s in res.sides] == [("root: pre side", "valid")]
-    assert check_prhl(res.proof.to_proof(), bounds=Bounds(6, 1000, 16)).accepted
+    assert check_prhl(res.proof, bounds=Bounds(6, 1000, 16)).accepted
 
 
 def test_invariant_mode_loop_proof():
@@ -58,7 +68,7 @@ def test_invariant_mode_loop_proof():
         ("loop exit: post side", "valid"),
     ]
     assert res.notes == ("loop pre-condition taken from invariant annotation",)
-    rep = check_prhl(res.proof.to_proof(), bounds=Bounds(8, 10000, 16))
+    rep = check_prhl(res.proof, bounds=Bounds(8, 10000, 16))
     assert rep.accepted and not rep.bounded
 
 
@@ -108,7 +118,7 @@ def test_beta_mode_proves_with_bounded_sides():
         ("loop exit: post side", ()),
         ("root: pre side", ("quantifier-bounded",)),
     ]
-    rep = check_prhl(res.proof.to_proof(), oracle=BoundedOracle(Bounds(6, 2000, 4)))
+    rep = check_prhl(res.proof, oracle=BoundedOracle(Bounds(6, 2000, 4)))
     assert rep.accepted
     # the checker asks the same sides as the prover, so only the root flags
     assert rep.bounded_flags == ("quantifier at node n1",)
@@ -178,9 +188,9 @@ def test_transform_straight_line_closes_with_axiom():
 
 def test_transform_fragment_leaves_stay_open():
     # an axiom fragment continued by a nonempty program cannot close
-    from prhl.certificates import PrhlNode
+    from prhl.certificates import PrhlProof, ProofNode
 
-    frag = PrhlNode("Axiom", Triple(pa("x = 1"), Empty(), pa("x = 1")))
+    frag = PrhlProof("n1", {"n1": ProofNode("Axiom", Triple(pa("x = 1"), Empty(), pa("x = 1")), ())})
     cy = transform_to_cyclic(frag, pp("x := x + 1"), pa("x = 2"))
     assert len(cy.nodes) == 1
     only = next(iter(cy.nodes.values()))
@@ -202,7 +212,7 @@ def test_prove_then_check_loop_free(seed):
     b = Bounds(3, 500, 16)
     res = prove_prhl(ProveRequest(Triple(pre, prog, post), bounds=b))
     assert res.status == "proved"
-    assert check_prhl(res.proof.to_proof(), bounds=b).accepted
+    assert check_prhl(res.proof, bounds=b).accepted
     cy = transform_to_cyclic(res.proof, Empty(), post)
     rep = check_cprhl(cy, bounds=b)
     assert rep.accepted and rep.global_status == "ok"
@@ -232,3 +242,56 @@ def test_transform_never_builds_progress_free_cycles(seed):
     assert status != "cons-cycle"
     assert unroll_global_ok(cy)
     assert len(cy.backlinks) >= 1
+
+
+# --- the table path against the recursive tree path ------------------------------
+
+CORPUS_TRIPLES = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.triple"))
+
+
+def assert_tree_path_agrees(t: Triple, loop_mode: str, bounds: Bounds, oracle: BoundedOracle) -> None:
+    """``prove`` and ``transform`` make the certificate bytes, and ask the
+    side conditions in the order, that the recursive tree path does."""
+    try:
+        res = prove_prhl(ProveRequest(t, loop_mode, bounds), oracle)
+    except MissingInvariantError:
+        with pytest.raises(MissingInvariantError):
+            prove_tree_ref(t, loop_mode, oracle)
+        return
+    if res.proof is None:
+        return
+    tree, sides = prove_tree_ref(t, loop_mode, oracle)
+    assert serialize_proof(res.proof) == serialize_proof(tree.to_proof())
+    assert [s.where for s in res.sides] == sides
+    cyc, ref = transform_to_cyclic(res.proof, Empty(), t.post), transform_tree_ref(tree, Empty(), t.post)
+    assert serialize_proof(cyc) == serialize_proof(ref)
+
+
+@pytest.mark.parametrize("loop_mode", LOOP_MODES)
+@pytest.mark.parametrize("path", CORPUS_TRIPLES, ids=lambda p: p.name)
+def test_corpus_proofs_match_the_tree_path(path, loop_mode):
+    b = Bounds(3, 500, 4)
+    assert_tree_path_agrees(read_triple_file(str(path)), loop_mode, b, BoundedOracle(b))
+
+
+def annotated(rng: random.Random, p):
+    """``p`` with an invariant drawn for every loop."""
+    if isinstance(p, Seq):
+        return Seq(annotated(rng, p.first), annotated(rng, p.second))
+    if isinstance(p, Choice):
+        return Choice(annotated(rng, p.left), annotated(rng, p.right))
+    if isinstance(p, While):
+        return While(p.guard, annotated(rng, p.body), gen_assertion(rng, NAMES, 1))
+    return p
+
+
+@given(SEEDS, st.sampled_from(LOOP_MODES))
+@settings(max_examples=60, deadline=None)
+def test_random_proofs_match_the_tree_path(seed, loop_mode):
+    rng = random.Random(seed)
+    prog = gen_prog(rng, NAMES, 4, loops=True)
+    if loop_mode == "invariant-annotations":
+        prog = annotated(rng, prog)
+    t = Triple(gen_assertion(rng, NAMES, 2), prog, gen_assertion(rng, NAMES, 2))
+    b = Bounds(2, 200, 2)
+    assert_tree_path_agrees(t, loop_mode, b, BudgetedOracle(b, quantifier_budget=2))

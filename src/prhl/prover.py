@@ -11,7 +11,7 @@ closed with back-links to the nearest enclosing node with the same label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .assertions import BoundedOracle
 from .certificates import CPRHL_ARITY, CertificateError, CyclicPreProof, PrhlProof, ProofNode, Triple
@@ -152,7 +152,8 @@ class _Prover:
             stack.extend(reversed(self.table[i].children))
         name = {i: f"n{k}" for k, i in enumerate(order, 1)}
         nodes = {name[i]: self.table[i] for i in order}
-        return PrhlProof("n1", {nid: replace(n, children=tuple(map(name.get, n.children))) for nid, n in nodes.items()})
+        return PrhlProof("n1", {k: ProofNode(n.rule, n.triple, tuple(map(name.get, n.children)))
+                                for k, n in nodes.items()})
 
 
 def _classify(sides: list[SideCondition]) -> tuple[str, Verdict | None]:
@@ -239,7 +240,7 @@ def transform_to_cyclic(proof: PrhlProof, continuation: Prog, r: Assertion) -> C
         frame = work.pop()
         if frame[0] == "second":
             n = nodes[frame[1]]
-            nodes[frame[1]] = replace(n, children=n.children + (f"c{len(nodes) + 1}",))
+            nodes[frame[1]] = ProofNode(n.rule, n.triple, n.children + (f"c{len(nodes) + 1}",))
         elif frame[0] == "walk":
             _, pid, cont, env, close = frame
             n = proof.nodes[pid]

@@ -45,7 +45,7 @@ def test_triple_render():
 
 
 def test_tree_flattening_preorder():
-    # the prover names its nodes in preorder, as the tree path did
+    # the prover names its nodes in preorder, as PrhlNode.to_proof does
     leaf1 = PrhlNode("Assign", triple("x + 1 = 2", "x := x + 1", "x = 2"))
     leaf2 = PrhlNode("Assign", triple("x = 2", "x := x", "x = 2"))
     root = PrhlNode("Seq", triple("x + 1 = 2", "x := x + 1; x := x", "x = 2"), (leaf1, leaf2))

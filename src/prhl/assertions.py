@@ -9,11 +9,15 @@ Evaluation therefore returns a pair (value, bounded): ``bounded`` is set
 when the value is bound-relative, i.e. a quantifier ran out of
 candidates (unguarded, or guarded past quant_bound) without a certain
 witness, or a body value in its range was itself bound-relative,
-anywhere in the deciding part of the formula.  Both sides are compiled
-once per question by ``semantics.compile_assertions`` and run on value
-tuples; ``eval_assertion`` is the one-store entry taking a ``State``.
-Entailment checks enumerate stores over the free variables, evaluating the
-hypothesis only where the conclusion is not certainly true, and report:
+anywhere in the deciding part of the formula.  ``eval_assertion``, the
+one-store entry taking a ``State``, compiles its assertion by
+``semantics.compile_assertions`` and runs it on a value tuple.
+
+Entailment is decided on truth tables over the box of stores (see
+``_Tables``): each atom and quantifier runs once per assignment of its own
+free variables, the connectives are bitwise, and a shared node is
+computed once.  The hypothesis is computed only where the conclusion is
+not certainly true.  The answer is:
 
 * Invalid with the first (store-order) counterexample whose evaluation is
   bound-independent;
@@ -28,10 +32,11 @@ The proof checker and the prover ask their side conditions through a
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
-from .semantics import Bounds, State, Verdict, compile_assertions, store_tuples
-from .syntax import Assertion, free_vars
+from .semantics import Bounds, State, Verdict, _compile_assertion, compile_assertions, exact_ranges
+from .syntax import And, Assertion, BAnd, BNot, Bool, BOr, Exists, Forall, Implies, Not, Or, assertion_vars, free_vars
 
 
 def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool]:
@@ -48,30 +53,39 @@ def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool
     return f(tuple(given.get(n, 0) for n in names))
 
 
+# the most stores one truth table holds: a box larger than this is taken
+# in chunks, one per assignment of its leading names
+CHUNK = 1 << 12
+
+
 def entails(
     hyp: Assertion, concl: Assertion, bounds: Bounds, extra_vars: Iterable[str] = ()
 ) -> Verdict:
-    """Does every store satisfying ``hyp`` satisfy ``concl``?  Enumerates
-    stores over the union of free variables, 0..domain_max each; at each,
-    the conclusion first and the hypothesis only where that is not certain."""
+    """Does every store satisfying ``hyp`` satisfy ``concl``?  Decided on
+    truth tables over the box of the union of free variables, 0..domain_max
+    each: the conclusion's first, the hypothesis's only where that is not certain."""
     names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
-    h, c = compile_assertions(names, bounds.quant_bound, hyp, concl)
-    flagged_cex = False
-    valid_flags = False
-    for st in store_tuples(names, bounds.domain_max):
-        cv, cf = c(st)
-        if cv and not cf:
-            continue  # certainly inside the conclusion: no branch below fires
-        hv, hf = h(st)
-        if not hv and not hf:
-            continue  # certainly outside the hypothesis
-        if hv and not cv:
-            if not hf and not cf:
-                return Verdict("invalid", witness=State(zip(names, st)))
-            flagged_cex = True
-        elif not cv or cf:
-            # no counterexample at face value, but bounds decided it
-            valid_flags = True
+    rewrite = exact_ranges()
+    hyp, concl = rewrite(hyp), rewrite(concl)
+    r, tail = bounds.domain_max + 1, len(names)
+    while tail and r**tail > CHUNK:
+        tail -= 1
+    box = _Tables(names, r, tail, bounds.quant_bound)
+    flagged_cex = valid_flags = False
+    for lead in itertools.product(range(r), repeat=len(names) - tail):
+        box.start(lead)
+        cv, cf = box.table(concl, box.full)
+        care = box.full & ~(cv & ~cf)  # not certainly inside the conclusion
+        hv, hf = box.table(hyp, care)
+        live = care & (hv | hf)  # not certainly outside the hypothesis
+        cex = live & hv & ~cv
+        clean = cex & ~hf & ~cf
+        if clean:
+            low = (clean & -clean).bit_length() - 1  # the first in store order
+            return Verdict("invalid", witness=State(zip(names, lead + tuple(low // w % r for w in box.weights))))
+        flagged_cex = flagged_cex or cex != 0
+        # no counterexample at face value, but bounds decided it
+        valid_flags = valid_flags or live & ~cex != 0
     if flagged_cex:
         return Verdict("unknown", reason="quantifier-bounded")
     if valid_flags:
@@ -79,9 +93,91 @@ def entails(
     return Verdict("valid")
 
 
+class _Tables:
+    """Truth tables over one chunk of a store box, bit ``i`` the ``i``-th
+    store in ``store_tuples`` order: ``start`` fixes the leading names and
+    the last ``tail`` range.  A node's value and flag masks are exact on a
+    care mask; an atom or a quantifier runs once per cell (assignment of its
+    own free names) that meets its care, spread over the cell's stores
+    through the cylinder masks ``cyl``, and a node is computed once per chunk."""
+
+    def __init__(self, names: list[str], r: int, tail: int, qb: int):
+        self.at, self.lead_n, self.qb = {n: i for i, n in enumerate(names)}, len(names) - tail, qb
+        self.weights = [r ** (tail - 1 - j) for j in range(tail)]
+        self.full = (1 << r**tail) - 1
+        # the stores whose j-th ranging name is v: a run of w ones every w * r bits
+        self.cyl = [[((1 << w) - 1 << v * w) * (self.full // ((1 << w * r) - 1)) for v in range(r)]
+                    for w in self.weights]
+        self.leaves: dict = {}
+
+    def start(self, lead: tuple) -> None:
+        self.lead, self.memo = lead, {}
+
+    def cells(self, node, care: int) -> tuple:
+        """An atom's or a quantifier's closure, compiled at first use, and
+        its cells that meet ``care``: each an assignment of its own names
+        (a quantifier's bound-only names padded) and the mask of its stores."""
+        got = self.leaves.get(node)
+        if got is None:
+            own = sorted(node.fv, key=self.at.get)
+            leaf = node if isinstance(node, (Exists, Forall)) else Bool(node)
+            pad = sorted(assertion_vars(leaf) - node.fv)
+            f = _compile_assertion(leaf, {n: i for i, n in enumerate([*pad, *own])}, self.qb, False)
+            fixed = [self.at[n] for n in own if self.at[n] < self.lead_n]
+            got = self.leaves[node] = f, (0,) * len(pad), fixed, [self.at[n] - self.lead_n for n in own[len(fixed) :]]
+        f, pad, fixed, ranging = got
+        cells = [(pad + tuple(self.lead[i] for i in fixed), care)]
+        for j in ranging:
+            cells = [(t + (v,), m & c) for t, m in cells for v, c in enumerate(self.cyl[j]) if m & c]
+        return f, cells
+
+    def table(self, a, care: int) -> tuple[int, int]:
+        """The value and flag masks of an assertion or a boolean expression,
+        exact on the stores of ``care``: what an earlier call left out of
+        its care is computed now."""
+        if not care:
+            return 0, 0
+        if isinstance(a, Bool):
+            return self.table(a.expr, care)
+        done, val, flag = self.memo.get(a, (0, 0, 0))
+        need = care & ~done
+        if not need:
+            return val, flag
+        if isinstance(a, (Not, BNot)):
+            v, f = self.table(a.arg, need)
+            v ^= self.full
+        elif isinstance(a, (And, Or, Implies, BAnd, BOr)):
+            # either's rules: And is not(not l or not r), Implies not l or r;
+            # the right side is asked only where the left is not certain
+            conj = isinstance(a, (And, BAnd))
+            lv, lf = self.table(a.left, need)
+            if conj or isinstance(a, Implies):
+                lv ^= self.full
+            rest = need & ~(lv & ~lf)
+            rv, rf = self.table(a.right, rest)
+            if conj:
+                rv ^= self.full
+            v = lv | rv
+            f = rest & (v & ~(rv & ~rf) | ~v & (lf | rf))
+            if conj:
+                v ^= self.full
+        else:
+            q, cells = self.cells(a, need)
+            v = f = 0
+            for t, m in cells:
+                qv, qf = q(t)
+                if qv:
+                    v |= m
+                if qf:
+                    f |= m
+        val, flag = val & done | v & need, flag & done | f & need
+        self.memo[a] = done | need, val, flag
+        return val, flag
+
+
 class BoundedOracle:
     """Side-condition oracle of the checker and the prover: decides
-    hyp |= concl by exhaustive bounded enumeration."""
+    hyp |= concl on the truth tables of the bounded box."""
 
     def __init__(self, bounds: Bounds | None = None):
         self.bounds = bounds if bounds is not None else Bounds()

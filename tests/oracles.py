@@ -31,7 +31,9 @@ from prhl.semantics import (
     State,
     Verdict,
     check_triple,
+    compile_assertions,
     run_all,
+    store_tuples,
 )
 from prhl.syntax import (
     And,
@@ -618,6 +620,35 @@ def entails_ref(hyp, concl, bounds: Bounds, extra_vars: Iterable[str] = (), eval
                 return Verdict("invalid", witness=s)
             flagged_cex = True
         elif (hv or hf) and (not cv or cf):
+            valid_flags = True
+    if flagged_cex:
+        return Verdict("unknown", reason="quantifier-bounded")
+    if valid_flags:
+        return Verdict("valid", flags=("quantifier-bounded",))
+    return Verdict("valid")
+
+
+def entails_loop_ref(hyp, concl, bounds: Bounds, extra_vars: Iterable[str] = ()) -> Verdict:
+    """``assertions.entails`` store by store: both sides compiled once,
+    the conclusion run at every store of the box in order and the
+    hypothesis only where that is not certain."""
+    names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
+    h, c = compile_assertions(names, bounds.quant_bound, hyp, concl)
+    flagged_cex = False
+    valid_flags = False
+    for st in store_tuples(names, bounds.domain_max):
+        cv, cf = c(st)
+        if cv and not cf:
+            continue  # certainly inside the conclusion: no branch below fires
+        hv, hf = h(st)
+        if not hv and not hf:
+            continue  # certainly outside the hypothesis
+        if hv and not cv:
+            if not hf and not cf:
+                return Verdict("invalid", witness=State(zip(names, st)))
+            flagged_cex = True
+        elif not cv or cf:
+            # no counterexample at face value, but bounds decided it
             valid_flags = True
     if flagged_cex:
         return Verdict("unknown", reason="quantifier-bounded")

@@ -1,6 +1,7 @@
 """Bounded assertion evaluation and entailment."""
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     BudgetedOracle,
     assert_holds,
+    entails_loop_ref,
     entails_ref,
     enumerate_states,
     exactness_error,
@@ -20,7 +22,7 @@ from oracles import (
 from prhl import assertions
 from prhl.assertions import BoundedOracle, entails, eval_assertion
 from prhl.semantics import Bounds, State, Verdict
-from prhl.syntax import TRUE, And, Bool, Exists, Forall, Implies, Not, Or, free_vars
+from prhl.syntax import TRUE, And, Assertion, Bool, Exists, Forall, Implies, Not, Or, canon, free_vars
 from prhl.syntax import parse_assertion as pa
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -110,19 +112,22 @@ def test_entails_extra_vars_widen_the_box():
 
 def test_entails_true_never_evaluates_the_hypothesis(monkeypatch):
     # the conclusion holds with certainty at every store, so no store can
-    # be a counterexample or flag the answer: the hypothesis is not asked
+    # be a counterexample or flag the answer: no leaf of the hypothesis is run
     hyp = pa("exists y. y * y = x + 400")
     b = Bounds(3, 100, 16)
     assert eval_assertion(hyp, State(x=1), b.quant_bound) == (False, True)  # bound-relative
     calls = []
-    real = assertions.compile_assertions
+    real = assertions._Tables.cells
 
-    def spy(box, qb, *sides):
-        return [lambda st, f=f, i=i: calls.append(i) or f(st) for i, f in enumerate(real(box, qb, *sides))]
+    def spy(self, node, care):
+        calls.append(node)
+        return real(self, node, care)
 
-    monkeypatch.setattr(assertions, "compile_assertions", spy)
+    monkeypatch.setattr(assertions._Tables, "cells", spy)
     assert entails(hyp, TRUE, b) == Verdict("valid")
-    assert calls == [1] * (b.domain_max + 1)
+    assert calls == [TRUE.expr]
+    # the same pair the other way round runs the quantifier
+    assert entails(TRUE, hyp, b).is_unknown and any(isinstance(n, Exists) for n in calls)
     monkeypatch.undo()
     assert entails_ref(hyp, TRUE, b) == Verdict("valid")
 
@@ -241,3 +246,61 @@ def test_entails_matches_state_box_reference(seed):
         assert [got.witness.get(n) for n in names] <= [ref.witness.get(n) for n in names]
     if ref == Verdict("valid"):
         assert got == ref
+
+
+# --- truth tables against the store-by-store loop ------------------------------
+
+
+def _shared(rng, parts, rounds):
+    """A DAG over ``parts``: each round joins an earlier node with itself,
+    with one of its operands (asked then under two care masks) or with any
+    earlier node, as a run of choices joins its arms' pre-conditions."""
+    nodes = list(parts)
+    for _ in range(rounds):
+        left = rng.choice(nodes)
+        inner = [k for k in left.kids() if isinstance(k, Assertion)]
+        right = rng.choice((left, rng.choice(inner or nodes), rng.choice(nodes)))
+        joined = rng.choice((And, Or, Implies))(left, right)
+        nodes.append(canon(joined) if rng.random() < 0.5 else joined)
+    return nodes[-1]
+
+
+@given(SEEDS)
+@settings(max_examples=500, deadline=None)
+def test_entails_matches_the_store_loop(seed):
+    # kind, witness, reason and flags, on quantified and flagged sides,
+    # shared subterms, extra names, and boxes cut into chunks of a few stores
+    rng = random.Random(seed)
+
+    def side():
+        a = _odd_shape(rng, gen_assertion(rng, QNAMES, 3, quant=True, guards=True))
+        if rng.random() < 0.5:
+            a = _shared(rng, [a, Bool(gen_bool(rng, QNAMES, 1))], rng.randrange(1, 12))
+        return a
+
+    hyp, concl = side(), side()
+    b = Bounds(rng.randrange(5), 100, rng.randrange(4))
+    extra = rng.choice(((), ("x",), ("z",), ("y", "z")))
+    with mock.patch.object(assertions, "CHUNK", rng.choice((assertions.CHUNK, 1, 2, 3, 5, 9))):
+        assert entails(hyp, concl, b, extra) == entails_loop_ref(hyp, concl, b, extra)
+
+
+def test_entails_node_asked_under_two_care_masks():
+    # 3 = 3 is asked first where x <= 1 fails, then wherever the
+    # antecedent is not certainly false: its table keeps both parts
+    assert entails(TRUE, pa("x <= 1 || 3 = 3 -> 3 = 3"), Bounds(2, 100, 3)) == Verdict("valid")
+
+
+def test_entails_witness_in_a_later_chunk(monkeypatch):
+    # chunks of 4 stores, one per (x, y): the stores at x = 0 are flagged
+    # counterexamples (no w <= 2 squares to 9), and the first clean one,
+    # x = 2 and y = 3, lies in the twelfth chunk
+    hyp, concl = TRUE, pa("!(x = 2 && y = 3) && (0 < x || exists w. w * w = 9)")
+    b = Bounds(3, 100, 2)
+    whole = entails(hyp, concl, b, ("z",))
+    assert whole == Verdict("invalid", witness=State(x=2, y=3))
+    monkeypatch.setattr(assertions, "CHUNK", 4)
+    assert entails(hyp, concl, b, ("z",)) == whole == entails_loop_ref(hyp, concl, b, ("z",))
+    # with no clean one, the flagged ones at x = 0 leave it unknown
+    flagged = pa("0 < x || exists w. w * w = 9")
+    assert entails(hyp, flagged, b, ("y", "z")) == Verdict("unknown", reason="quantifier-bounded")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from oracles import PrhlNode, run_all_ref
-from prhl import cli
+from prhl import assertions, cli
 from prhl.certificates import PrhlProof, Triple, parse_proof, serialize_proof
 from prhl.checker import check_prhl
 from prhl.cli import main, read_triple_file
@@ -542,6 +542,29 @@ def test_long_program_certifies_without_deep_recursion(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert codes == [0, 0, 0, 0], capsys.readouterr().err
     assert len(parse_proof(Path(cert).read_text()).nodes) == 300 + 299 + 1
+
+
+def _choices(tmp_path, k):
+    prog = "; ".join(["(x := x + 1 + skip)"] * k)
+    return write(tmp_path, "choices.triple", f"pre: true\nprog: {prog}\npost: true\n")
+
+
+def test_prove_choices_in_a_row_is_linear(tmp_path, capsys, monkeypatch):
+    # each choice's pre joins its arms' pres, so k choices in a row make a
+    # term of 2^k paths but only k distinct nodes: its leaves are compiled
+    # once per question, not once per path
+    compiled = []
+    real = assertions._compile_assertion
+    monkeypatch.setattr(assertions, "_compile_assertion", lambda *args: compiled.append(args[0]) or real(*args))
+    k = 40
+    assert main(["prove", _choices(tmp_path, k), "--domain-max", "2", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "proved"
+    assert len(compiled) <= 3 * k  # 2k + 1: one atom per question
+
+
+def test_prove_choices_machine_golden(tmp_path, capsys):
+    assert main(["prove", _choices(tmp_path, 12), "--domain-max", "2", "--format", "machine"]) == 0
+    assert capsys.readouterr().out == (Path(__file__).parent / "golden" / "prove_12_choices_machine.json").read_text()
 
 
 # --- wp / beta-encode -------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .semantics import Bounds, State, Verdict, _compile_assertion, compile_assertions, exact_ranges
+from .semantics import CHUNK, Bounds, State, Verdict, _compile_assertion, compile_assertions, exact_ranges
 from .syntax import And, Assertion, BAnd, BNot, Bool, BOr, Exists, Forall, Implies, Not, Or, assertion_vars, free_vars
 
 
@@ -53,17 +53,14 @@ def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool
     return f(tuple(given.get(n, 0) for n in names))
 
 
-# the most stores one truth table holds: a box larger than this is taken
-# in chunks, one per assignment of its leading names
-CHUNK = 1 << 12
-
-
 def entails(
     hyp: Assertion, concl: Assertion, bounds: Bounds, extra_vars: Iterable[str] = ()
 ) -> Verdict:
     """Does every store satisfying ``hyp`` satisfy ``concl``?  Decided on
     truth tables over the box of the union of free variables, 0..domain_max
-    each: the conclusion's first, the hypothesis's only where that is not certain."""
+    each: the conclusion's first, the hypothesis's only where that is not
+    certain.  A box of more than ``CHUNK`` stores is taken in chunks, one
+    per assignment of its leading names."""
     names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
     rewrite = exact_ranges()
     hyp, concl = rewrite(hyp), rewrite(concl)

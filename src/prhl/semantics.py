@@ -393,11 +393,13 @@ VALUE_BIT_CAP = 512
 class Compiled(NamedTuple):
     """A program as transitions over store tuples indexed like ``names``:
     ``steps[label](store)`` lists the successor configurations of a
-    continuation in small-step order; label 0 is the terminated program."""
+    continuation in small-step order, to the labels ``succs[label]``;
+    label 0 is the terminated program."""
 
     names: tuple[str, ...]
     start: int
     steps: list
+    succs: list
     cyclic: bool
 
 
@@ -442,6 +444,7 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
     # walking the tails again, seq_of the rest (the input may be raw)
     normal = {Empty()}
     steps: list = [None]
+    succs: list = [()]  # the successor labels of each label
     cyclic = False
     while len(steps) < len(progs):
         p, tails = progs[len(steps)], []
@@ -472,7 +475,18 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
                 if join is _onto or tails:
                     normal.add(q)
         steps.append(_transition(p, out, slot))
-    return Compiled(names, start, steps, cyclic)
+        succs.append(out)
+    return Compiled(names, start, steps, succs, cyclic)
+
+
+def label_paths(c: Compiled) -> int:
+    """The number of label paths from the start of an acyclic ``c``, the
+    empty one included: a run visits at most one configuration per path,
+    as the label path fixes the store."""
+    paths = [1] * len(c.succs)
+    for lab in graphlib.TopologicalSorter(dict(enumerate(c.succs))).static_order():
+        paths[lab] += sum(paths[q] for q in c.succs[lab])
+    return paths[c.start]
 
 
 def _onto(q: Prog, t: Prog) -> Prog:
@@ -490,6 +504,7 @@ def _onto(q: Prog, t: Prog) -> Prog:
 STEP_DEPTH = "step-budget-exhausted"
 WORK_CAP = "work-cap-exhausted"
 VALUE_WIDTH = "value-width-exhausted"
+CAUSES = (STEP_DEPTH, WORK_CAP, VALUE_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -540,10 +555,7 @@ def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
     back = False  # a repeat reached a configuration no deeper than its source
     overflow = False
     depth = 0
-    # depth alone cannot bound work: a value-diverging choice under a live
-    # guard doubles the frontier every level, so total visited configurations
-    # are capped as well
-    work_cap = 8 * step_bound + 16384
+    cap = work_cap(step_bound)
 
     while frontier and depth < step_bound:
         depth += 1
@@ -557,7 +569,7 @@ def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
                 if succ[0] is None or dirty and _over_cap(succ[1]):
                     overflow = True
                     continue
-                if len(visited) >= work_cap:
+                if len(visited) >= cap:
                     return RunResult(finals, True, WORK_CAP)
                 visited[succ] = depth
                 if succ[0]:
@@ -570,6 +582,90 @@ def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
     # every cycle has an edge that does not lead one level deeper
     cycle = cause is None and back and c.cyclic and _reaches_itself(steps, visited)
     return RunResult(finals, cause is not None or cycle, cause)
+
+
+def work_cap(step_bound: int) -> int:
+    """The most configurations one run visits.  Depth alone cannot bound
+    work: a value-diverging choice under a live guard doubles the frontier
+    every level, so total visited configurations are capped as well."""
+    return 8 * step_bound + 16384
+
+
+# the most start stores ``explore_starts`` takes in one pass, and the most
+# stores one entailment truth table holds (``assertions.entails``)
+CHUNK = 1 << 12
+
+
+def explore_starts(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict]:
+    """``explore`` from each of ``starts`` (distinct store tuples), in one
+    level-synchronous pass: each configuration carries the mask of the
+    starts that first reach it at its level, bit ``j`` for ``starts[j]``,
+    and is stepped once for all of them.  Returns ``(finals, cuts)``:
+    ``finals`` maps each final store to ``(depth, mask)`` pairs, the starts
+    whose runs first reach it at that depth, and ``cuts`` maps each cause
+    to the mask of the starts whose run it cut, as ``explore``'s ``cause``.
+
+    A start is cut by the work cap exactly when its own run would be:
+    when the starts' configurations together pass the cap, each start is
+    explored by itself.  Start stores carry no value past
+    ``VALUE_BIT_CAP`` (box values are at most ``domain_max``; a box that
+    wide cannot be enumerated), so only an assignment cuts on width."""
+    cap = work_cap(step_bound)
+    seen = {(c.start, s0): 1 << j for j, s0 in enumerate(starts)}
+    if not c.start:
+        return {s0: [(0, m)] for (_, s0), m in seen.items()}, dict.fromkeys(CAUSES, 0)
+    steps = c.steps
+    frontier = seen.copy()
+    finals: dict[tuple, list] = {}
+    overflow = depth = 0
+    while frontier and depth < step_bound:
+        depth += 1
+        nxt, ends = {}, {}
+        for (lab, st), m in frontier.items():
+            for succ in steps[lab](st):
+                old = seen.get(succ)
+                if old is None:  # new: its mask is m as it stands
+                    if succ[0] is None:
+                        overflow |= m
+                        continue
+                    if len(seen) >= cap:
+                        return _one_by_one(c, starts, step_bound)
+                    seen[succ] = m
+                    if succ[0]:
+                        nxt[succ] = m
+                    else:
+                        ends[succ[1]] = m
+                elif new := m & ~old:
+                    seen[succ] = old | m
+                    if succ[0]:
+                        nxt[succ] = nxt.get(succ, 0) | new
+                    else:
+                        ends[succ[1]] = ends.get(succ[1], 0) | new
+        for f, m in ends.items():
+            finals.setdefault(f, []).append((depth, m))
+        frontier = nxt
+    cut = 0
+    for m in frontier.values():
+        cut |= m
+    return finals, {STEP_DEPTH: cut, WORK_CAP: 0, VALUE_WIDTH: overflow & ~cut}
+
+
+def _one_by_one(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict]:
+    """``explore_starts`` by one ``explore`` per start."""
+    finals: dict[tuple, list] = {}
+    cuts = dict.fromkeys(CAUSES, 0)
+    for j, s0 in enumerate(starts):
+        r = explore(c, s0, step_bound)
+        for f, depth in r.finals.items():
+            finals.setdefault(f, []).append((depth, 1 << j))
+        if r.cause:
+            cuts[r.cause] |= 1 << j
+    return finals, cuts
+
+
+def _lowest(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _over_cap(values: Iterable[int]) -> bool:
@@ -665,75 +761,99 @@ def check_triple(
     pre_of, post_of = compile_assertions(names, bounds.quant_bound, pre, post)
     eval_post = functools.cache(post_of)
 
-    # rows: (box index, s0, its pre value bound-relative, the runs from
-    # s0) for every s0 that can witness: outside the pre under
-    # partial-reverse, inside it under the other logics, flagged under
-    # any.  The loops below read no other row, so no other store is
-    # explored, and a query's cost follows the share of the box on the
-    # witness side of its pre.  s0 ranges over the box whose names
-    # outside the live set are 0.  A name is live when the pre reads it
-    # or some run may read it (in a guard or an assigned value) or leave
-    # it for the post before writing it; incorrectness compares whole
-    # finals, so there every name is left for the post.  The others
-    # never steer a run nor reach the pre or the post, so each store of
-    # the full box has the same label paths, the same finals on the
-    # live-out names at the same least depths as its twin with them at
-    # 0, which comes first in box order: the same verdict and witness.
-    # Only a cap can tell the two apart, as their configurations that
-    # differ in a dead name merge on one side and not on the other: the
-    # work cap, or the step bound at the very depth where one run comes
-    # back to a configuration it has visited.  Then one of the two
-    # answers is Unknown for that cap; neither is unsound.
+    # s0 ranges over the box whose names outside the live set are 0.  A
+    # name is live when the pre reads it or some run may read it (in a
+    # guard or an assigned value) or leave it for the post before writing
+    # it; incorrectness compares whole finals, so there every name is left
+    # for the post.  The others never steer a run nor reach the pre or the
+    # post, so each store of the full box has the same label paths, the
+    # same finals on the live-out names at the same least depths as its
+    # twin with them at 0, which comes first in box order: the same verdict
+    # and witness.  Only a cap can tell the two apart, as their
+    # configurations that differ in a dead name merge on one side and not
+    # on the other: the work cap, or the step bound at the very depth where
+    # one run comes back to a configuration it has visited.  Then one of
+    # the two answers is Unknown for that cap; neither is unsound.
     out = names if logic == "incorrectness" else free_vars(post)
     live = free_vars(pre) | live_vars(prog, out)
     axes = [range(bounds.domain_max + 1) if n in live else (0,) for n in names]
+    # starts: the stores that can witness, in box order: outside the pre
+    # under partial-reverse, inside it under the other logics, flagged
+    # under any; no other store is explored, so a query's cost follows the
+    # share of the box on the witness side of its pre.  They are explored
+    # together, chunk by chunk (``explore_starts``), and every verdict is
+    # read off the masks of the starts: bit j of ``flagged`` is set when
+    # starts[j]'s pre value is bound-relative, and the lowest bit of a mask
+    # is its first start in box order.  The pass gives each start the
+    # finals and the cut of its own ``explore``, so no answer changes.  A
+    # chunk's configurations are held at once: at most the work cap of
+    # them, as on an acyclic label graph a chunk holds so few starts that
+    # their runs, at most ``label_paths`` configurations each, stay below
+    # it, and elsewhere a chunk that passes it is explored store by store.
     side = logic != "partial-reverse"  # the pre value of a store that can witness
-    rows = []
-    for idx, s0 in enumerate(itertools.product(*axes)):
+    starts: list[tuple] = []
+    flagged = 0
+    for s0 in itertools.product(*axes):
         pv, pfl = pre_of(s0)
         if pfl or pv == side:
-            rows.append((idx, s0, pfl, explore(compiled, s0, bounds.step_bound)))
+            if pfl:
+                flagged |= 1 << len(starts)
+            starts.append(s0)
+    size = CHUNK if compiled.cyclic else max(1, min(CHUNK, work_cap(bounds.step_bound) // label_paths(compiled)))
 
-    clean: list[tuple] = []  # (depth/index, index, final, stores of the witness)
-    budget_risk = None  # the cap that cut a run where a counterexample could hide
+    clean: list[tuple] = []  # (depth/start, start, final, stores of the witness)
+    budget_risk = None  # the cap that cut the first run where a counterexample could hide
     quant_risk = False  # quantifier bound touched a potential counterexample
-
-    if logic in ("partial-reverse", "partial-hoare"):
-        # counterexample: a run s0 ->* f with s0 outside the pre and f in
-        # the post (partial-reverse), or the other way round (partial-hoare)
-        hoare = logic == "partial-hoare"
-        for idx, s0, pre_flags, r in rows:
-            budget_risk = budget_risk or r.cause
-            for f, depth in r.finals.items():
+    hoare = logic == "partial-hoare"
+    reach_cert: set[tuple] = set()  # finals of starts with a certain pre
+    reach_poss: set[tuple] = set()
+    for base in range(0, len(starts), size):
+        chunk = starts[base : base + size]
+        finals, cuts = explore_starts(compiled, chunk, bounds.step_bound)
+        sure = ~(flagged >> base)  # the starts of the chunk whose pre value is certain
+        cut = cuts[STEP_DEPTH] | cuts[WORK_CAP] | cuts[VALUE_WIDTH]
+        if logic in ("partial-reverse", "partial-hoare"):
+            # counterexample: a run s0 ->* f with s0 outside the pre and f
+            # in the post (partial-reverse), or the other way round
+            # (partial-hoare)
+            for f, pairs in finals.items():
                 fv, ffl = eval_post(f)
                 if fv == hoare and not ffl:
                     continue
-                if not pre_flags and not ffl:
-                    clean.append((depth, idx, f, (s0, f)))
-                else:
-                    quant_risk = True
-    elif logic == "total-hoare":
-        # counterexample: s0 in pre with no terminating run into post
-        for idx, s0, pre_flags, r in rows:
-            finals = [eval_post(f) for f in r.finals]
-            if any(v and not fl for v, fl in finals):
-                continue  # certainly has a run into the post
-            if r.exhausted:
-                budget_risk = budget_risk or r.cause
-            elif not pre_flags and not any(v or fl for v, fl in finals):
-                clean.append((idx, 0, (), (s0,)))
-            else:
-                quant_risk = True
-    elif logic == "incorrectness":
-        # counterexample: a post store (in the box) no pre store reaches
-        reach_cert: set[tuple] = set()
-        reach_poss: set[tuple] = set()
-        poss_cut = None
-        for *_, pre_flags, r in rows:
-            if not pre_flags:
-                reach_cert.update(r.finals)
-            reach_poss.update(r.finals)
-            poss_cut = poss_cut or r.cause
+                for depth, m in pairs:
+                    m_clean = 0 if ffl else m & sure
+                    quant_risk = quant_risk or m_clean != m
+                    if m_clean:
+                        j = _lowest(m_clean)
+                        clean.append((depth, base + j, f, (chunk[j], f)))
+        elif logic == "total-hoare":
+            # counterexample: s0 in pre with no terminating run into post
+            into = near = 0  # starts with a run certainly (possibly) into the post
+            for f, pairs in finals.items():
+                fv, ffl = eval_post(f)
+                if fv or ffl:
+                    for _, m in pairs:
+                        near |= m
+                        if not ffl:
+                            into |= m
+            rest = (1 << len(chunk)) - 1 & ~into
+            cut &= rest
+            lone = rest & ~cut & sure & ~near
+            if lone:
+                j = _lowest(lone)
+                clean.append((base + j, 0, (), (chunk[j],)))
+            quant_risk = quant_risk or rest & ~cut & ~lone != 0
+        else:
+            # counterexample: a post store (in the box) no pre store reaches
+            for f, pairs in finals.items():
+                reach_poss.add(f)
+                if any(m & sure for _, m in pairs):
+                    reach_cert.add(f)
+        if cut and budget_risk is None:
+            budget_risk = next(cause for cause, m in cuts.items() if m >> _lowest(cut) & 1)
+
+    if logic == "incorrectness":
+        poss_cut, budget_risk = budget_risk, None
         for idx, f in enumerate(store_tuples(names, bounds.domain_max)):
             fv, ffl = eval_post(f)
             if not fv and not ffl or f in reach_cert:

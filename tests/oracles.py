@@ -22,6 +22,7 @@ from prhl.certificates import CyclicPreProof, PrhlProof, ProofNode, Triple
 from prhl.checker import check_cprhl, check_prhl, cons_sides, guard_implies
 from prhl.prover import ProveRequest, prove_prhl, transform_to_cyclic
 from prhl.semantics import (
+    LOGICS,
     STEP_DEPTH,
     VALUE_BIT_CAP,
     VALUE_WIDTH,
@@ -32,6 +33,9 @@ from prhl.semantics import (
     Verdict,
     check_triple,
     compile_assertions,
+    compile_program,
+    explore,
+    relevant_vars,
     run_all,
     store_tuples,
 )
@@ -67,6 +71,7 @@ from prhl.syntax import (
     expr_vars,
     free_vars,
     fresh_var,
+    live_vars,
     parse_program,
     print_assertion,
     print_program,
@@ -939,6 +944,81 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds, evaluate
                     quant_risk = True
     if clean:
         return Verdict("invalid", witness=min(clean, key=lambda t: t[:3])[3])
+    if budget_risk:
+        return Verdict("unknown", reason=budget_risk)
+    if quant_risk:
+        return Verdict("unknown", reason="quantifier-bounded")
+    return Verdict("valid")
+
+
+def check_triple_rows_ref(logic: str, pre, prog: Prog, post, bounds: Bounds) -> Verdict:
+    """``semantics.check_triple`` with one ``explore`` per start store:
+    the same liveness-pruned box, compiled program and assertions, but
+    each start that can witness gets its own row and its own BFS, and the
+    verdict is read row by row in box order."""
+    if logic not in LOGICS:
+        raise ValueError(f"unknown logic {logic!r}")
+    names = relevant_vars(pre, prog, post)
+    compiled = compile_program(prog, names)
+    pre_of, post_of = compile_assertions(names, bounds.quant_bound, pre, post)
+    out = names if logic == "incorrectness" else free_vars(post)
+    live = free_vars(pre) | live_vars(prog, out)
+    axes = [range(bounds.domain_max + 1) if n in live else (0,) for n in names]
+    side = logic != "partial-reverse"
+    rows = []  # (box index, s0, its pre value bound-relative, the runs from s0)
+    for idx, s0 in enumerate(itertools.product(*axes)):
+        pv, pfl = pre_of(s0)
+        if pfl or pv == side:
+            rows.append((idx, s0, pfl, explore(compiled, s0, bounds.step_bound)))
+    clean: list[tuple] = []  # (depth/index, index, final, stores of the witness)
+    budget_risk = None
+    quant_risk = False
+    if logic in ("partial-reverse", "partial-hoare"):
+        hoare = logic == "partial-hoare"
+        for idx, s0, pre_flags, r in rows:
+            budget_risk = budget_risk or r.cause
+            for f, depth in r.finals.items():
+                fv, ffl = post_of(f)
+                if fv == hoare and not ffl:
+                    continue
+                if not pre_flags and not ffl:
+                    clean.append((depth, idx, f, (s0, f)))
+                else:
+                    quant_risk = True
+    elif logic == "total-hoare":
+        for idx, s0, pre_flags, r in rows:
+            finals = [post_of(f) for f in r.finals]
+            if any(v and not fl for v, fl in finals):
+                continue
+            if r.exhausted:
+                budget_risk = budget_risk or r.cause
+            elif not pre_flags and not any(v or fl for v, fl in finals):
+                clean.append((idx, 0, (), (s0,)))
+            else:
+                quant_risk = True
+    else:
+        reach_cert: set[tuple] = set()
+        reach_poss: set[tuple] = set()
+        poss_cut = None
+        for *_, pre_flags, r in rows:
+            if not pre_flags:
+                reach_cert.update(r.finals)
+            reach_poss.update(r.finals)
+            poss_cut = poss_cut or r.cause
+        for idx, f in enumerate(store_tuples(names, bounds.domain_max)):
+            fv, ffl = post_of(f)
+            if not fv and not ffl or f in reach_cert:
+                continue
+            if poss_cut:
+                budget_risk = poss_cut
+            elif fv and not ffl and f not in reach_poss:
+                clean.append((idx, 0, (), (f,)))
+            else:
+                quant_risk = True
+    if clean:
+        *_, stores = min(clean, key=lambda t: (t[0], t[1], [(n, v) for n, v in zip(names, t[2]) if v]))
+        witness = tuple(State(zip(names, st)) for st in stores)
+        return Verdict("invalid", witness=witness if len(witness) == 2 else witness[0])
     if budget_risk:
         return Verdict("unknown", reason=budget_risk)
     if quant_risk:

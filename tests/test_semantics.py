@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     check_triple_ref,
+    check_triple_rows_ref,
     denormalize,
     denot_finals,
     enumerate_states,
@@ -721,9 +722,9 @@ def test_pruned_box_matches_full_box_reference(seed):
         values = [eval_assertion(pre, s, b.quant_bound) for s in box]
         side = logic != "partial-reverse"
         want = [tuple(s.get(n) for n in names) for s, (v, fl) in zip(box, values) if fl or v == side]
-        with mock.patch.object(semantics, "explore", wraps=semantics.explore) as spy:
+        with mock.patch.object(semantics, "explore_starts", wraps=semantics.explore_starts) as spy:
             got = check_triple(logic, pre, p, post, b)
-        assert [c.args[1] for c in spy.call_args_list] == want
+        assert [s0 for c in spy.call_args_list for s0 in c.args[1]] == want
         ref = check_triple_ref(logic, pre, p, post, b, evaluate=eval_assertion)
         if got != ref:
             assert _cut_apart(logic, pre, p, post, b)
@@ -784,8 +785,8 @@ def test_two_ifs_enumerate_only_the_live_names(monkeypatch):
     # x >= 3 under partial-reverse, the 3/9 with x < 3 under the others
     pre, p, post = parse_assertion("x < 3"), parse_program(TWO_IFS), parse_assertion("z = x")
     assert relevant_vars(pre, p, post) == ["t", "t_p1", "x", "y", "z"]
-    real, calls = semantics.explore, []
-    monkeypatch.setattr(semantics, "explore", lambda *a: calls.append(a) or real(*a))
+    real, calls = semantics.explore_starts, []
+    monkeypatch.setattr(semantics, "explore_starts", lambda c, starts, n: calls.extend(starts) or real(c, starts, n))
     pruned = {}
     for logic in LOGICS:
         calls.clear()
@@ -808,8 +809,9 @@ def test_flagged_start_stores_are_explored_in_every_logic(monkeypatch):
     pre, p, post = parse_assertion("x = 0 || forall q. q <= x"), parse_program("x := x + 1"), parse_assertion("true")
     b = Bounds(domain_max=3, quant_bound=2)
     assert [eval_assertion(pre, State(x=x), 2) for x in range(4)] == [(True, False), (False, False)] + [(True, True)] * 2
-    real, calls = semantics.explore, []
-    monkeypatch.setattr(semantics, "explore", lambda c, s0, n: calls.append(s0[c.names.index("x")]) or real(c, s0, n))
+    real, calls = semantics.explore_starts, []
+    monkeypatch.setattr(semantics, "explore_starts",
+                        lambda c, starts, n: calls.extend(s0[c.names.index("x")] for s0 in starts) or real(c, starts, n))
     for logic in LOGICS:
         calls.clear()
         check_triple(logic, pre, p, post, b)
@@ -839,3 +841,57 @@ def test_check_triple_names_the_cap(text, s0, cause):
     v = check_triple("partial-reverse", parse_assertion("false"), parse_program(text), parse_assertion("true"),
                      Bounds(1, 500, 16))
     assert v == Verdict("unknown", reason=cause)
+
+
+# --- start stores explored together ----------------------------------------------
+
+
+@given(SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_check_triple_matches_one_explore_per_start(seed):
+    # equal Verdicts in all four logics against one explore per start
+    # store, at step bounds that cut, with flagged pres, the CUTS programs,
+    # work caps small enough that some chunks fall back store by store,
+    # and chunks of 1-9 starts, so that witnesses, flags and cuts come
+    # from later chunks
+    rng = random.Random(seed)
+    pick = rng.random()
+    if pick < 0.15:
+        p, domain_max = parse_program(rng.choice(CUTS)[0]), 1
+    else:
+        p, domain_max = _gen_with_dead_names(rng) if pick < 0.55 else gen_prog(rng, NAMES, 2), rng.randrange(1, 4)
+    pre = gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True)
+    if rng.random() < 0.5:
+        pre = rng.choice((Exists, Forall))("q", pre)
+    post = gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True)
+    b = Bounds(domain_max, rng.choice([1, 2, 3, 4, 5, 6, 500]), rng.randrange(4))
+    chunk = rng.choice((semantics.CHUNK, *range(1, 10)))
+    cap = semantics.work_cap if rng.random() < 0.7 else (lambda n, k=rng.randrange(4, 60): k)
+    with mock.patch.object(semantics, "CHUNK", chunk), mock.patch.object(semantics, "work_cap", cap):
+        for logic in LOGICS:
+            assert check_triple(logic, pre, p, post, b) == check_triple_rows_ref(logic, pre, p, post, b)
+
+
+CHOICES = "(a := a + 5 * b + b := b + 5 * c); c := c + d; (d := d + 5 * e + e := e + a)"
+
+
+def test_choice_starts_are_explored_together(monkeypatch):
+    # 3,125 starts whose runs together visit 45,980 configurations, past
+    # the work cap of 8 * 400 + 16384 = 19,584, though no single run can
+    # pass it: 15 label paths, so chunks of 19,584 // 15 starts stay under
+    # it and no start is explored by itself
+    pre, p, post = parse_assertion("false"), parse_program(CHOICES), parse_assertion("a <= b")
+    b = Bounds(4, 400, 16)
+    c = compile_program(p, relevant_vars(pre, p, post))
+    starts = list(store_tuples(c.names, 4))
+    seen, frontier = set(), {(c.start, s0) for s0 in starts}
+    while frontier:
+        seen |= frontier
+        frontier = {succ for lab, st in frontier if lab for succ in c.steps[lab](st)} - seen
+    assert semantics.label_paths(c) == 15 and len(seen) == 45980 > semantics.work_cap(400)
+    real, calls = semantics.explore, []
+    monkeypatch.setattr(semantics, "explore", lambda *a: calls.append(a) or real(*a))
+    got = [check_triple(logic, pre, p, post, b) for logic in LOGICS]
+    assert calls == []
+    monkeypatch.undo()
+    assert got == [check_triple_rows_ref(logic, pre, p, post, b) for logic in LOGICS]

@@ -349,7 +349,11 @@ def _cmd_wp(args) -> int:
 
 def _cmd_beta_encode(args) -> int:
     raw = args.values.strip()
-    values = [int(v) for v in raw.split(",") if v.strip() != ""] if raw else []
+    items = raw.split(",") if raw else []
+    # item i's modulus depends on i: a dropped item would shift the rest
+    if any(not v.strip() for v in items):
+        raise ValueError("sequence items must not be empty")
+    values = [int(v) for v in items]
     if any(v < 0 for v in values):
         raise ValueError("sequence values must be naturals")
     try:

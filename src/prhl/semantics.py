@@ -18,9 +18,9 @@ is substituted away, one guarded by ``x < e`` or ``x <= e`` ranges up to
 its guard, exactly while that is within quant_bound, and every other one
 over 0..quant_bound.  A configuration is a (label, store tuple) pair;
 its successors come in a fixed order (the left branch of a choice
-first) and are those of the small-step relation.  All exploration is
-breadth-first over configurations with dedup, so the reported distance
-of a final store is the minimal run length reaching it.
+first) and are those of the small-step relation.  All exploration is one
+breadth-first pass with dedup (``explore_starts``) from one start store
+or many, so a final store's distance is the minimal run length reaching it.
 Validity questions are decided by enumerating initial stores over the
 variables that occur in the triple, each component in 0..domain_max
 where it is live (``syntax.live_vars``: the pre reads it, or a run may
@@ -504,14 +504,12 @@ def _onto(q: Prog, t: Prog) -> Prog:
 STEP_DEPTH = "step-budget-exhausted"
 WORK_CAP = "work-cap-exhausted"
 VALUE_WIDTH = "value-width-exhausted"
-CAUSES = (STEP_DEPTH, WORK_CAP, VALUE_WIDTH)
 
 
 @dataclass(frozen=True)
 class RunResult:
     """Final stores with their minimal run lengths, in the order they
-    were reached: ``State``s from ``run_all``, store tuples from
-    ``explore``.  ``cause``: the cap that cut some run (``STEP_DEPTH``
+    were reached.  ``cause``: the cap that cut some run (``STEP_DEPTH``
     before ``VALUE_WIDTH`` when both did), after which ``finals`` may be
     incomplete, or None.  ``truncated``: exhausted, or some configuration
     reaches itself (an infinite run exists; runs merging into one
@@ -535,52 +533,10 @@ def run_all(p: Prog | Compiled, s: State, step_bound: int) -> RunResult:
     c = p if isinstance(p, Compiled) else compile_program(p, sorted(prog_vars(p) | given.keys()))
     if not given.keys() <= set(c.names):
         raise ValueError(f"run_all: store variables {sorted(given.keys() - set(c.names))} not compiled")
-    r = explore(c, tuple(given.get(n, 0) for n in c.names), step_bound)
-    return RunResult({State(zip(c.names, f)): n for f, n in r.finals.items()}, r.truncated, r.cause)
-
-
-def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
-    """``run_all`` on a store tuple indexed like ``c.names``; the finals
-    are store tuples."""
-    if c.start == 0:
-        return RunResult({store: 0}, False, None)
-    steps = c.steps
-    cfg0 = (c.start, store)
-    # assignments check the value they store; only the initial store can
-    # carry a value past the cap into another step
-    dirty = _over_cap(store)
-    visited = {cfg0: 0}  # configuration -> depth
-    frontier = [cfg0]
-    finals: dict[tuple, int] = {}
-    back = False  # a repeat reached a configuration no deeper than its source
-    overflow = False
-    depth = 0
-    cap = work_cap(step_bound)
-
-    while frontier and depth < step_bound:
-        depth += 1
-        nxt = []
-        for lab, st in frontier:
-            for succ in steps[lab](st):
-                seen = visited.get(succ)
-                if seen is not None:
-                    back = back or seen < depth
-                    continue
-                if succ[0] is None or dirty and _over_cap(succ[1]):
-                    overflow = True
-                    continue
-                if len(visited) >= cap:
-                    return RunResult(finals, True, WORK_CAP)
-                visited[succ] = depth
-                if succ[0]:
-                    nxt.append(succ)
-                else:
-                    finals[succ[1]] = depth
-        frontier = nxt
-        dirty = False
-    cause = STEP_DEPTH if frontier else VALUE_WIDTH if overflow else None
-    # every cycle has an edge that does not lead one level deeper
-    cycle = cause is None and back and c.cyclic and _reaches_itself(steps, visited)
+    finals, cuts, back = explore_starts(c, [tuple(given.get(n, 0) for n in c.names)], step_bound)
+    cause = next((k for k, m in cuts.items() if m), None)
+    cycle = cause is None and back is not None and c.cyclic and _reaches_itself(c.steps, back)
+    finals = {State(zip(c.names, f)): pairs[0][0] for f, pairs in finals.items()}
     return RunResult(finals, cause is not None or cycle, cause)
 
 
@@ -596,40 +552,58 @@ def work_cap(step_bound: int) -> int:
 CHUNK = 1 << 12
 
 
-def explore_starts(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict]:
-    """``explore`` from each of ``starts`` (distinct store tuples), in one
-    level-synchronous pass: each configuration carries the mask of the
+def explore_starts(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict, dict | None]:
+    """The runs of ``c`` from each of ``starts`` (distinct store tuples) in
+    one level-synchronous pass: each configuration carries the mask of the
     starts that first reach it at its level, bit ``j`` for ``starts[j]``,
-    and is stepped once for all of them.  Returns ``(finals, cuts)``:
-    ``finals`` maps each final store to ``(depth, mask)`` pairs, the starts
-    whose runs first reach it at that depth, and ``cuts`` maps each cause
-    to the mask of the starts whose run it cut, as ``explore``'s ``cause``.
+    and is stepped once for all of them.  Returns ``(finals, cuts, back)``:
+    each final store, in the order first reached, maps to ``(depth,
+    mask)`` pairs; each cause maps to the mask of the starts whose run it
+    cut (``STEP_DEPTH`` before ``VALUE_WIDTH``); ``back``, for one start,
+    is the configurations visited when a repeat went back to a non-final
+    one of an earlier level (as every cycle does), else None.  Starts that
+    together reach the work cap are explored again in halves, so the cap
+    cuts a start, with the finals found so far, exactly when its own run
+    reaches it.  A start value past ``VALUE_BIT_CAP`` cuts every first
+    step that keeps it; later, assignments check the values they store."""
+    if out := _pass(c, starts, step_bound):
+        return out
+    half = len(starts) // 2
+    finals, cuts = explore_starts(c, starts[:half], step_bound)[:2]
+    more, rest = explore_starts(c, starts[half:], step_bound)[:2]
+    for f, pairs in more.items():
+        finals.setdefault(f, []).extend((depth, m << half) for depth, m in pairs)
+    return finals, {k: m | rest[k] << half for k, m in cuts.items()}, None
 
-    A start is cut by the work cap exactly when its own run would be:
-    when the starts' configurations together pass the cap, each start is
-    explored by itself.  Start stores carry no value past
-    ``VALUE_BIT_CAP`` (box values are at most ``domain_max``; a box that
-    wide cannot be enumerated), so only an assignment cuts on width."""
-    cap = work_cap(step_bound)
+
+def _pass(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict, dict | None] | None:
+    """``explore_starts`` in one pass; None when several starts reach the cap."""
     seen = {(c.start, s0): 1 << j for j, s0 in enumerate(starts)}
     if not c.start:
-        return {s0: [(0, m)] for (_, s0), m in seen.items()}, dict.fromkeys(CAUSES, 0)
-    steps = c.steps
+        return {s0: [(0, m)] for (_, s0), m in seen.items()}, {STEP_DEPTH: 0, WORK_CAP: 0, VALUE_WIDTH: 0}, None
+    cap, steps = work_cap(step_bound), c.steps
+    # a value past VALUE_BIT_CAP can come only from a start: assignments check what they store
+    wide = max(itertools.chain.from_iterable(starts), default=0).bit_length() > VALUE_BIT_CAP
     frontier = seen.copy()
     finals: dict[tuple, list] = {}
     overflow = depth = 0
+    back = False  # a repeat reached a non-final configuration of an earlier level
+    ends: dict[tuple, int] = {}  # the final stores of this level, with their masks
     while frontier and depth < step_bound:
         depth += 1
-        nxt, ends = {}, {}
+        nxt = {}
         for (lab, st), m in frontier.items():
             for succ in steps[lab](st):
                 old = seen.get(succ)
                 if old is None:  # new: its mask is m as it stands
-                    if succ[0] is None:
+                    if succ[0] is None or wide and max(succ[1]).bit_length() > VALUE_BIT_CAP:
                         overflow |= m
                         continue
                     if len(seen) >= cap:
-                        return _one_by_one(c, starts, step_bound)
+                        if len(starts) > 1:
+                            return None
+                        finals.update((f, [(depth, 1)]) for f in ends)
+                        return finals, {STEP_DEPTH: 0, WORK_CAP: 1, VALUE_WIDTH: 0}, None
                     seen[succ] = m
                     if succ[0]:
                         nxt[succ] = m
@@ -641,35 +615,20 @@ def explore_starts(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tup
                         nxt[succ] = nxt.get(succ, 0) | new
                     else:
                         ends[succ[1]] = ends.get(succ[1], 0) | new
-        for f, m in ends.items():
-            finals.setdefault(f, []).append((depth, m))
-        frontier = nxt
-    cut = 0
-    for m in frontier.values():
-        cut |= m
-    return finals, {STEP_DEPTH: cut, WORK_CAP: 0, VALUE_WIDTH: overflow & ~cut}
-
-
-def _one_by_one(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict]:
-    """``explore_starts`` by one ``explore`` per start."""
-    finals: dict[tuple, list] = {}
-    cuts = dict.fromkeys(CAUSES, 0)
-    for j, s0 in enumerate(starts):
-        r = explore(c, s0, step_bound)
-        for f, depth in r.finals.items():
-            finals.setdefault(f, []).append((depth, 1 << j))
-        if r.cause:
-            cuts[r.cause] |= 1 << j
-    return finals, cuts
+                elif not back and succ[0] and succ not in nxt:
+                    back = True
+        if ends:  # most levels of a long run end none
+            for f, m in ends.items():
+                finals.setdefault(f, []).append((depth, m))
+            ends = {}
+        frontier, wide = nxt, False
+    cut = functools.reduce(operator.or_, frontier.values(), 0)
+    return finals, {STEP_DEPTH: cut, WORK_CAP: 0, VALUE_WIDTH: overflow & ~cut}, seen if back else None
 
 
 def _lowest(mask: int) -> int:
     """The index of the lowest set bit of a nonzero mask."""
     return (mask & -mask).bit_length() - 1
-
-
-def _over_cap(values: Iterable[int]) -> bool:
-    return any(v.bit_length() > VALUE_BIT_CAP for v in values)
 
 
 def _reaches_itself(steps: list, configs: Iterable[tuple]) -> bool:
@@ -785,11 +744,11 @@ def check_triple(
     # read off the masks of the starts: bit j of ``flagged`` is set when
     # starts[j]'s pre value is bound-relative, and the lowest bit of a mask
     # is its first start in box order.  The pass gives each start the
-    # finals and the cut of its own ``explore``, so no answer changes.  A
-    # chunk's configurations are held at once: at most the work cap of
-    # them, as on an acyclic label graph a chunk holds so few starts that
-    # their runs, at most ``label_paths`` configurations each, stay below
-    # it, and elsewhere a chunk that passes it is explored store by store.
+    # finals and the cut of its own run, so no answer changes.  A chunk's
+    # configurations are held at once: at most the work cap of them, as
+    # on an acyclic label graph a chunk holds so few starts that their
+    # runs, at most ``label_paths`` configurations each, stay below it,
+    # and elsewhere a chunk that reaches it is explored again in halves.
     side = logic != "partial-reverse"  # the pre value of a store that can witness
     starts: list[tuple] = []
     flagged = 0
@@ -809,7 +768,7 @@ def check_triple(
     reach_poss: set[tuple] = set()
     for base in range(0, len(starts), size):
         chunk = starts[base : base + size]
-        finals, cuts = explore_starts(compiled, chunk, bounds.step_bound)
+        finals, cuts = explore_starts(compiled, chunk, bounds.step_bound)[:2]  # not a pass's configurations
         sure = ~(flagged >> base)  # the starts of the chunk whose pre value is certain
         cut = cuts[STEP_DEPTH] | cuts[WORK_CAP] | cuts[VALUE_WIDTH]
         if logic in ("partial-reverse", "partial-hoare"):

@@ -17,6 +17,7 @@ import random
 from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
+from prhl import semantics
 from prhl.assertions import BoundedOracle, eval_assertion
 from prhl.certificates import CyclicPreProof, PrhlProof, ProofNode, Triple
 from prhl.checker import check_cprhl, check_prhl, cons_sides, guard_implies
@@ -28,13 +29,13 @@ from prhl.semantics import (
     VALUE_WIDTH,
     WORK_CAP,
     Bounds,
+    Compiled,
     RunResult,
     State,
     Verdict,
     check_triple,
     compile_assertions,
     compile_program,
-    explore,
     relevant_vars,
     run_all,
     store_tuples,
@@ -949,6 +950,47 @@ def check_triple_ref(logic: str, pre, prog: Prog, post, bounds: Bounds, evaluate
     if quant_risk:
         return Verdict("unknown", reason="quantifier-bounded")
     return Verdict("valid")
+
+
+def explore(c: Compiled, store: tuple, step_bound: int) -> RunResult:
+    """The runs of the compiled program ``c`` from one store tuple, by a
+    breadth-first search of their own: ``run_all``'s finals (store tuples,
+    in the order reached) and cause.  It looks for no cycle, so
+    ``truncated`` is ``exhausted``.  The work cap is read through the
+    module, so a test that patches ``semantics.work_cap`` patches it here."""
+    if c.start == 0:
+        return RunResult({store: 0}, False, None)
+    cfg0 = (c.start, store)
+    # assignments check the value they store; only the initial store can
+    # carry a value past the cap into another step
+    dirty = any(v.bit_length() > VALUE_BIT_CAP for v in store)
+    visited = {cfg0}
+    frontier = [cfg0]
+    finals: dict[tuple, int] = {}
+    overflow = False
+    depth = 0
+    cap = semantics.work_cap(step_bound)
+    while frontier and depth < step_bound:
+        depth += 1
+        nxt = []
+        for lab, st in frontier:
+            for succ in c.steps[lab](st):
+                if succ in visited:
+                    continue
+                if succ[0] is None or dirty and any(v.bit_length() > VALUE_BIT_CAP for v in succ[1]):
+                    overflow = True
+                    continue
+                if len(visited) >= cap:
+                    return RunResult(finals, True, WORK_CAP)
+                visited.add(succ)
+                if succ[0]:
+                    nxt.append(succ)
+                else:
+                    finals[succ[1]] = depth
+        frontier = nxt
+        dirty = False
+    cause = STEP_DEPTH if frontier else VALUE_WIDTH if overflow else None
+    return RunResult(finals, cause is not None, cause)
 
 
 def check_triple_rows_ref(logic: str, pre, prog: Prog, post, bounds: Bounds) -> Verdict:

@@ -634,6 +634,11 @@ def test_beta_encode(capsys):
     assert capsys.readouterr().out == "n=0 m=0\n"
     assert main(["beta-encode", "1,-2"]) == 3
     assert "naturals" in capsys.readouterr().err
+    # an empty item would shift every later index, so it is refused
+    for bad in ("1,,2", ",1", "1,", "1, ,2"):
+        assert main(["beta-encode", bad]) == 3
+        captured = capsys.readouterr()
+        assert "empty" in captured.err and captured.out == ""
 
 
 # --- argument handling -------------------------------------------------------------------

@@ -851,7 +851,7 @@ def test_check_triple_names_the_cap(text, s0, cause):
 def test_check_triple_matches_one_explore_per_start(seed):
     # equal Verdicts in all four logics against one explore per start
     # store, at step bounds that cut, with flagged pres, the CUTS programs,
-    # work caps small enough that some chunks fall back store by store,
+    # work caps small enough that some chunks are split in halves,
     # and chunks of 1-9 starts, so that witnesses, flags and cuts come
     # from later chunks
     rng = random.Random(seed)
@@ -879,7 +879,7 @@ def test_choice_starts_are_explored_together(monkeypatch):
     # 3,125 starts whose runs together visit 45,980 configurations, past
     # the work cap of 8 * 400 + 16384 = 19,584, though no single run can
     # pass it: 15 label paths, so chunks of 19,584 // 15 starts stay under
-    # it and no start is explored by itself
+    # it and no chunk is split
     pre, p, post = parse_assertion("false"), parse_program(CHOICES), parse_assertion("a <= b")
     b = Bounds(4, 400, 16)
     c = compile_program(p, relevant_vars(pre, p, post))
@@ -889,9 +889,24 @@ def test_choice_starts_are_explored_together(monkeypatch):
         seen |= frontier
         frontier = {succ for lab, st in frontier if lab for succ in c.steps[lab](st)} - seen
     assert semantics.label_paths(c) == 15 and len(seen) == 45980 > semantics.work_cap(400)
-    real, calls = semantics.explore, []
-    monkeypatch.setattr(semantics, "explore", lambda *a: calls.append(a) or real(*a))
+    real, calls = semantics.explore_starts, []
+    monkeypatch.setattr(semantics, "explore_starts", lambda c, starts, n: calls.append(len(starts)) or real(c, starts, n))
     got = [check_triple(logic, pre, p, post, b) for logic in LOGICS]
-    assert calls == []
+    assert calls == [1305, 1305, 515]
+    monkeypatch.undo()
+    assert got == [check_triple_rows_ref(logic, pre, p, post, b) for logic in LOGICS]
+
+
+def test_a_chunk_that_reaches_the_work_cap_is_split_in_halves(monkeypatch):
+    # in a loop the label graph is cyclic and chunks take 4,096 starts;
+    # each of those reaches the work cap of 19,584 and is explored again
+    # as two halves, which stay under it, so no start runs by itself
+    p = parse_program(f"while i < 1 do {{ {CHOICES}; i := i + 1 }}")
+    pre, post = parse_assertion("false"), parse_assertion("a <= b")
+    b = Bounds(4, 400, 16)
+    real, calls = semantics.explore_starts, []
+    monkeypatch.setattr(semantics, "explore_starts", lambda c, starts, n: calls.append(len(starts)) or real(c, starts, n))
+    got = [check_triple(logic, pre, p, post, b) for logic in LOGICS]
+    assert calls == [4096, 2048, 2048] * 3 + [3337, 1668, 1669]
     monkeypatch.undo()
     assert got == [check_triple_rows_ref(logic, pre, p, post, b) for logic in LOGICS]

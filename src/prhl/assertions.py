@@ -14,10 +14,11 @@ one-store entry taking a ``State``, compiles its assertion by
 ``semantics.compile_assertions`` and runs it on a value tuple.
 
 Entailment is decided on truth tables over the box of stores (see
-``_Tables``): each atom and quantifier runs once per assignment of its own
-free variables, the connectives are bitwise, and a shared node is
-computed once.  The hypothesis is computed only where the conclusion is
-not certainly true.  The answer is:
+``_Tables``): an atom runs once per assignment of its own free
+variables, a quantifier is folded from its body over the box extended by
+its variable, the connectives are bitwise, and a shared node is computed
+once.  The hypothesis is computed only where the conclusion is not
+certainly true.  The answer is:
 
 * Invalid with the first (store-order) counterexample whose evaluation is
   bound-independent;
@@ -35,8 +36,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .semantics import CHUNK, Bounds, State, Verdict, _compile_assertion, compile_assertions, exact_ranges
-from .syntax import And, Assertion, BAnd, BNot, Bool, BOr, Exists, Forall, Implies, Not, Or, assertion_vars, free_vars
+from .semantics import CHUNK, Bounds, State, Verdict, _compile_assertion, _range_tops, compile_assertions, exact_ranges
+from .syntax import And, Assertion, BAnd, BNot, Bool, BOr, Const, Exists, Forall, Implies, Le, Not, Or, Var, free_vars
 
 
 def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool]:
@@ -67,19 +68,24 @@ def entails(
     r, tail = bounds.domain_max + 1, len(names)
     while tail and r**tail > CHUNK:
         tail -= 1
-    box = _Tables(names, r, tail, bounds.quant_bound)
+    lead, weights = names[: len(names) - tail], [r ** (tail - 1 - j) for j in range(tail)]
+    full = (1 << r**tail) - 1
+    # the stores whose j-th ranging name is v: a run of w ones every w * r bits
+    cyl = {n: [(v, ((1 << w) - 1 << v * w) * (full // ((1 << w * r) - 1))) for v in range(r)]
+           for n, w in zip(names[len(lead) :], weights)}
+    box = _Tables(bounds.quant_bound)
     flagged_cex = valid_flags = False
-    for lead in itertools.product(range(r), repeat=len(names) - tail):
-        box.start(lead)
-        cv, cf = box.table(concl, box.full)
-        care = box.full & ~(cv & ~cf)  # not certainly inside the conclusion
+    for fixed in itertools.product(range(r), repeat=len(lead)):
+        box.start({**cyl, **{n: [(v, full)] for n, v in zip(lead, fixed)}}, full)
+        cv, cf = box.table(concl, full)
+        care = full & ~(cv & ~cf)  # not certainly inside the conclusion
         hv, hf = box.table(hyp, care)
         live = care & (hv | hf)  # not certainly outside the hypothesis
         cex = live & hv & ~cv
         clean = cex & ~hf & ~cf
         if clean:
             low = (clean & -clean).bit_length() - 1  # the first in store order
-            return Verdict("invalid", witness=State(zip(names, lead + tuple(low // w % r for w in box.weights))))
+            return Verdict("invalid", witness=State(zip(names, fixed + tuple(low // w % r for w in weights))))
         flagged_cex = flagged_cex or cex != 0
         # no counterexample at face value, but bounds decided it
         valid_flags = valid_flags or live & ~cex != 0
@@ -91,42 +97,66 @@ def entails(
 
 
 class _Tables:
-    """Truth tables over one chunk of a store box, bit ``i`` the ``i``-th
-    store in ``store_tuples`` order: ``start`` fixes the leading names and
-    the last ``tail`` range.  A node's value and flag masks are exact on a
-    care mask; an atom or a quantifier runs once per cell (assignment of its
-    own free names) that meets its care, spread over the cell's stores
-    through the cylinder masks ``cyl``, and a node is computed once per chunk."""
+    """Truth tables over a box of ``full.bit_length()`` stores, bit ``i``
+    the ``i``-th.  ``cyl`` maps each name to its cylinders, (value, mask of
+    the stores with that value) pairs; a name fixed for the box has one.
+    Masks are exact on a care mask and a node is computed once per box: an
+    atom runs once per cell (assignment of its own free names) that meets
+    its care, and a quantifier is folded from its body (``quant``)."""
 
-    def __init__(self, names: list[str], r: int, tail: int, qb: int):
-        self.at, self.lead_n, self.qb = {n: i for i, n in enumerate(names)}, len(names) - tail, qb
-        self.weights = [r ** (tail - 1 - j) for j in range(tail)]
-        self.full = (1 << r**tail) - 1
-        # the stores whose j-th ranging name is v: a run of w ones every w * r bits
-        self.cyl = [[((1 << w) - 1 << v * w) * (self.full // ((1 << w * r) - 1)) for v in range(r)]
-                    for w in self.weights]
-        self.leaves: dict = {}
+    def __init__(self, qb: int):
+        self.qb, self.leaves = qb, {}
 
-    def start(self, lead: tuple) -> None:
-        self.lead, self.memo = lead, {}
+    def start(self, cyl: dict, full: int) -> None:
+        self.cyl, self.full, self.memo = cyl, full, {}
 
     def cells(self, node, care: int) -> tuple:
-        """An atom's or a quantifier's closure, compiled at first use, and
-        its cells that meet ``care``: each an assignment of its own names
-        (a quantifier's bound-only names padded) and the mask of its stores."""
+        """An atom's closure, compiled at first use, and its cells that meet
+        ``care``: an assignment of its own names and the mask of its stores each."""
         got = self.leaves.get(node)
         if got is None:
-            own = sorted(node.fv, key=self.at.get)
-            leaf = node if isinstance(node, (Exists, Forall)) else Bool(node)
-            pad = sorted(assertion_vars(leaf) - node.fv)
-            f = _compile_assertion(leaf, {n: i for i, n in enumerate([*pad, *own])}, self.qb, False)
-            fixed = [self.at[n] for n in own if self.at[n] < self.lead_n]
-            got = self.leaves[node] = f, (0,) * len(pad), fixed, [self.at[n] - self.lead_n for n in own[len(fixed) :]]
-        f, pad, fixed, ranging = got
-        cells = [(pad + tuple(self.lead[i] for i in fixed), care)]
-        for j in ranging:
-            cells = [(t + (v,), m & c) for t, m in cells for v, c in enumerate(self.cyl[j]) if m & c]
+            own = sorted(node.fv)
+            got = self.leaves[node] = _compile_assertion(Bool(node), {n: i for i, n in enumerate(own)}, self.qb, False), own
+        f, own = got
+        cells = [((), care)]
+        for n in own:
+            cells = [(t + (v,), m & c) for t, m in cells for v, c in self.cyl[n] if m & c]
         return f, cells
+
+    def quant(self, a, need: int) -> tuple[int, int]:
+        """``exists`` (``forall`` is not exists not) by ``either``'s rules, from
+        the body over the box extended by a leading axis for the variable
+        (existential abstraction; Bryant, 1986), in slabs of ``CHUNK // stores``
+        values (one at least), value ``v0 + j`` at bit ``j * stores``.  A range
+        guard masks a slab by ``x <= top``, and all guards past qb, or none, cut
+        the range; a slab is asked where the range goes on and no witness is certain."""
+        x, univ, qb = a.var, isinstance(a, Forall), self.qb
+        tops = _range_tops(x, a.body, univ)
+        cut = need
+        for top in tops:
+            cut &= self.table(Le(Const(qb + 1), top), cut)[0]
+        outer = cyl, full, _ = self.cyl, self.full, self.memo
+        n, v0, live = full.bit_length(), 0, need
+        v = certain = flagged = 0  # some true body; a certain witness; a flagged body
+        while live and v0 <= qb:
+            k = min(max(1, CHUNK // n), qb + 1 - v0)
+            rep = ((1 << k * n) - 1) // full  # one 1 at bit j*n for each j < k
+            self.start({**{m: [(u, c * rep) for u, c in cs] for m, cs in cyl.items()},
+                        x: [(v0 + j, full << j * n) for j in range(k)]}, full * rep)
+            care = live * rep
+            for top in tops:
+                care &= self.table(Le(Var(x), top), care)[0]
+            bv, bf = self.table(a.body, care)
+            bv, bf = (~bv if univ else bv) & care, bf & care
+            yes = bv & ~bf
+            for j in range(k):
+                v |= bv >> j * n & full
+                certain |= yes >> j * n & full
+                flagged |= bf >> j * n & full
+            live = care >> (k - 1) * n & ~certain  # in range at the slab's last value
+            v0 += k
+        self.cyl, self.full, self.memo = outer
+        return (~v if univ else v) & need, ~certain & (flagged | cut) & need
 
     def table(self, a, care: int) -> tuple[int, int]:
         """The value and flag masks of an assertion or a boolean expression,
@@ -158,6 +188,8 @@ class _Tables:
             f = rest & (v & ~(rv & ~rf) | ~v & (lf | rf))
             if conj:
                 v ^= self.full
+        elif isinstance(a, (Exists, Forall)):
+            v, f = self.quant(a, need)
         else:
             q, cells = self.cells(a, need)
             v = f = 0

@@ -277,7 +277,9 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
       ``exists x. x = e && A`` is ``A[x:=e]``; ``x + t = e`` is read as
       ``t <= e && x = e - t``.
 
-    Guards are left for ``_range_tops``; ``canon`` packs what changed."""
+    Guards are left for ``_range_tops``; ``canon`` packs what changed.
+    A whole assertion is rewritten once: its form is kept on the node
+    (``ranged``), so a later call returns it without a walk."""
     memo: dict = {}
 
     def go(a):
@@ -324,7 +326,13 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
                 return type(b)(quant(q, x, b.left), b.right)
         return q(x, b)
 
-    return lambda a: a if (out := go(a)) is a else canon(out)
+    def top(a):
+        if not hasattr(a, "ranged"):
+            out = a if (out := go(a)) is a else canon(out)
+            object.__setattr__(a, "ranged", None if out is a else out)
+        return a.ranged or a
+
+    return top
 
 
 def _compile_assertion(a: Assertion, slot: Mapping[str, int], qb: int, neg: bool) -> Evaluator:
@@ -760,7 +768,9 @@ def check_triple(
             starts.append(s0)
     size = CHUNK if compiled.cyclic else max(1, min(CHUNK, work_cap(bounds.step_bound) // label_paths(compiled)))
 
-    clean: list[tuple] = []  # (depth/start, start, final, stores of the witness)
+    # the least counterexample so far: (depth or start, start, the final's
+    # nonzero entries by name as State.sort_key breaks ties, stores of the witness)
+    best: tuple = (float("inf"),)
     budget_risk = None  # the cap that cut the first run where a counterexample could hide
     quant_risk = False  # quantifier bound touched a potential counterexample
     hoare = logic == "partial-hoare"
@@ -784,7 +794,7 @@ def check_triple(
                     quant_risk = quant_risk or m_clean != m
                     if m_clean:
                         j = _lowest(m_clean)
-                        clean.append((depth, base + j, f, (chunk[j], f)))
+                        best = min(best, (depth, base + j, [(n, v) for n, v in zip(names, f) if v], (chunk[j], f)))
         elif logic == "total-hoare":
             # counterexample: s0 in pre with no terminating run into post
             into = near = 0  # starts with a run certainly (possibly) into the post
@@ -800,7 +810,7 @@ def check_triple(
             lone = rest & ~cut & sure & ~near
             if lone:
                 j = _lowest(lone)
-                clean.append((base + j, 0, (), (chunk[j],)))
+                best = min(best, (base + j, 0, [], (chunk[j],)))
             quant_risk = quant_risk or rest & ~cut & ~lone != 0
         else:
             # counterexample: a post store (in the box) no pre store reaches
@@ -820,14 +830,12 @@ def check_triple(
             if poss_cut:
                 budget_risk = poss_cut
             elif fv and not ffl and f not in reach_poss:
-                clean.append((idx, 0, (), (f,)))
+                best = min(best, (idx, 0, [], (f,)))
             else:
                 quant_risk = True
 
-    if clean:
-        # ties between finals go by State.sort_key: nonzero entries by name
-        *_, stores = min(clean, key=lambda t: (t[0], t[1], [(n, v) for n, v in zip(names, t[2]) if v]))
-        witness = tuple(State(zip(names, st)) for st in stores)
+    if len(best) > 1:
+        witness = tuple(State(zip(names, st)) for st in best[-1])
         return Verdict("invalid", witness=witness if len(witness) == 2 else witness[0])
     if budget_risk:
         return Verdict("unknown", reason=budget_risk)

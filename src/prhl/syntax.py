@@ -47,7 +47,9 @@ unrolled loop's formula, is handled once.
 
 Each expression, guard and assertion node carries ``fv``, its free
 variables, computed once when the node is built (a program node has
-none).  The rewriting walkers handle only variables, binders and the
+none).  An assertion node rewritten whole by ``semantics.exact_ranges``
+keeps its ``canon``'d range-exact form in ``ranged``, None where that is
+the node itself, so that no node refers to itself.  The rewriting walkers handle only variables, binders and the
 connectives ``canon`` packs, and pass every other node to ``rebuild``.
 """
 
@@ -72,7 +74,7 @@ class _Node:
     """Base of the nodes: building a node equal to a live one returns that
     one (hash-consing; Filliâtre & Conchon, 2006)."""
 
-    __slots__ = ("__weakref__", "fv")  # for the weak table; free variables, not a dataclass field
+    __slots__ = ("__weakref__", "fv", "ranged")  # for the weak table, and two that are not dataclass fields
 
     def __new__(cls, *args, **kwargs):
         if kwargs or len(args) != len(cls.__match_args__):

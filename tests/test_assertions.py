@@ -1,6 +1,8 @@
 """Bounded assertion evaluation and entailment."""
 
+import gc
 import random
+import weakref
 from unittest import mock
 
 from hypothesis import given, settings
@@ -19,10 +21,10 @@ from oracles import (
     models_tautology,
     past_bound,
 )
-from prhl import assertions
+from prhl import assertions, semantics
 from prhl.assertions import BoundedOracle, entails, eval_assertion
 from prhl.semantics import Bounds, State, Verdict
-from prhl.syntax import TRUE, And, Assertion, Bool, Exists, Forall, Implies, Not, Or, canon, free_vars
+from prhl.syntax import TRUE, And, Assertion, Bool, Eq, Exists, Forall, Implies, Le, Not, Or, canon, free_vars
 from prhl.syntax import parse_assertion as pa
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -126,8 +128,8 @@ def test_entails_true_never_evaluates_the_hypothesis(monkeypatch):
     monkeypatch.setattr(assertions._Tables, "cells", spy)
     assert entails(hyp, TRUE, b) == Verdict("valid")
     assert calls == [TRUE.expr]
-    # the same pair the other way round runs the quantifier
-    assert entails(TRUE, hyp, b).is_unknown and any(isinstance(n, Exists) for n in calls)
+    # the same pair the other way round runs the quantifier's body atom
+    assert entails(TRUE, hyp, b).is_unknown and hyp.body.expr in calls
     monkeypatch.undo()
     assert entails_ref(hyp, TRUE, b) == Verdict("valid")
 
@@ -304,3 +306,51 @@ def test_entails_witness_in_a_later_chunk(monkeypatch):
     # with no clean one, the flagged ones at x = 0 leave it unknown
     flagged = pa("0 < x || exists w. w * w = 9")
     assert entails(hyp, flagged, b, ("y", "z")) == Verdict("unknown", reason="quantifier-bounded")
+
+
+@given(SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_quantifier_tables_match_the_store_loop(seed):
+    # half the inner nodes quantifiers, nested, shadowing a store name or
+    # binding a fresh one, folded from their bodies' tables in slabs of
+    # one value and of several; only atoms run as closures
+    rng = random.Random(seed)
+    hyp, concl = (gen_assertion(rng, QNAMES, 4, quant=0.5, guards=True) for _ in range(2))
+    b = Bounds(rng.randrange(4), 100, rng.randrange(5))
+    real = assertions._Tables.cells
+
+    def atoms_only(self, node, care):
+        assert isinstance(node, (Eq, Le))
+        return real(self, node, care)
+
+    with mock.patch.object(assertions, "CHUNK", rng.choice((assertions.CHUNK, 1, 2, 5, 9, 64))), \
+            mock.patch.object(assertions._Tables, "cells", atoms_only):
+        got = entails(hyp, concl, b)
+    assert got == entails_loop_ref(hyp, concl, b)
+
+
+def test_entails_rewrites_each_term_once(monkeypatch):
+    # the range-exact form is kept on the node, so asking the same pair
+    # again walks neither side: no pin is looked for, nothing is packed
+    hyp, concl = pa("forall j. j < x -> j * j < 9 + x"), pa("exists j. j = x + 2 && j * j <= 30 + x")
+    b = Bounds(3, 100, 4)
+    walked = []
+    for name in ("_pin", "canon"):
+        real = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name, lambda *args, real=real: walked.append(args) or real(*args))
+    first = entails(hyp, concl, b)
+    assert walked
+    walked.clear()
+    assert entails(hyp, concl, b) == first and not walked
+    # a node that is its own form holds no reference to itself: dropped,
+    # it is freed by reference counting alone
+    a = pa("exists k. k * k = x + 7")
+    assert entails(TRUE, a, b).is_unknown and semantics.exact_ranges()(a) is a
+    gone = weakref.ref(a)
+    gc.collect()  # the walkers' memos, held by closures that call themselves
+    gc.disable()
+    try:
+        del a
+        assert gone() is None
+    finally:
+        gc.enable()

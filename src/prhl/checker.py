@@ -72,8 +72,10 @@ def _aeq(a: Assertion, b: Assertion) -> bool:
     return canon(a) is canon(b)
 
 
-def _peq(p: Prog, q: Prog) -> bool:
-    return erase_invariants(seq_of(p)) is erase_invariants(seq_of(q))
+def _peq(p: Prog, q: Prog, bare: dict) -> bool:
+    """Equal programs, annotations aside; ``bare`` keeps the bare forms of
+    one check, so each distinct program is erased once."""
+    return erase_invariants(seq_of(p), bare) is erase_invariants(seq_of(q), bare)
 
 
 def _share_pre_post(t: Triple, *kids: ProofNode) -> bool:
@@ -146,7 +148,7 @@ def _cons_result(oracle: BoundedOracle, nid: str, node: Triple, child: Triple) -
     return NodeResult(nid, "ok", bounded=(f"quantifier at node {nid}",) if bounded else ())
 
 
-def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig4_assign: bool) -> str:
+def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig4_assign: bool, bare: dict) -> str:
     """Why ``n`` is not an instance of its rule, or "" if it is; a Cons
     node's side conditions are left to ``cons_sides``."""
     t = n.triple
@@ -158,7 +160,7 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
     if n.rule == "OpenLeaf":
         return ""  # closure is the global condition's job
     if n.rule == "Cons":
-        same = _peq(t.prog, kids[0].triple.prog)
+        same = _peq(t.prog, kids[0].triple.prog, bare)
         return "" if same else "Cons premise must share the conclusion program"
     if n.rule == "Assign":
         if not isinstance(prog, Assign):
@@ -167,7 +169,7 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
         return "" if _aeq(t.pre, want) else f"Assign pre should be {print_assertion(canon(want))}"
     if n.rule == "Seq":
         left, right = kids
-        if not _peq(t.prog, Seq(left.triple.prog, right.triple.prog)):
+        if not _peq(t.prog, Seq(left.triple.prog, right.triple.prog), bare):
             return "premise programs do not compose to the conclusion"
         if not _aeq(left.triple.pre, t.pre):
             return "left premise pre differs from conclusion pre"
@@ -184,14 +186,14 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
         left, right = kids
         if not isinstance(prog, Choice):
             return "Or concludes a choice program"
-        if not (_peq(prog.left, left.triple.prog) and _peq(prog.right, right.triple.prog)):
+        if not (_peq(prog.left, left.triple.prog, bare) and _peq(prog.right, right.triple.prog, bare)):
             return "premise programs are not the two branches"
         return "" if _share_pre_post(t, *kids) else "Or premises must share pre and post"
     if n.rule == "While" and not cyclic:
         (child,) = kids
         if not isinstance(prog, While):
             return "While concludes a loop"
-        if not _peq(child.triple.prog, prog.body):
+        if not _peq(child.triple.prog, prog.body, bare):
             return "premise program must be the loop body"
         if not _aeq(child.triple.pre, guard_implies(prog.guard, t.pre)):
             return "premise pre should be guard -> conclusion pre"
@@ -207,7 +209,7 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
         (child,) = kids
         if not isinstance(head, Assign):
             return f"{n.rule} concludes an assignment-headed program"
-        if not _peq(child.triple.prog, cont):
+        if not _peq(child.triple.prog, cont, bare):
             return "premise program must be the continuation"
         if not _aeq(child.triple.post, t.post):
             return "premise must share the conclusion post"
@@ -228,7 +230,7 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
         if not isinstance(head, Choice):
             return "Or concludes a choice-headed program"
         for kid, branch in zip(kids, (head.left, head.right)):
-            if not _peq(kid.triple.prog, seq_of(branch, cont)):
+            if not _peq(kid.triple.prog, seq_of(branch, cont), bare):
                 return "premise program must be branch; continuation"
             if not _share_pre_post(t, kid):
                 return "Or premises must share pre and post"
@@ -236,13 +238,13 @@ def _rule_mismatch(n: ProofNode, kids: list[ProofNode], cyclic: bool, strict_fig
     exit_kid, loop_kid = kids  # While
     if not isinstance(head, While):
         return "While concludes a loop-headed program"
-    if not _peq(exit_kid.triple.prog, cont):
+    if not _peq(exit_kid.triple.prog, cont, bare):
         return "exit premise program must be the continuation"
     if not _aeq(exit_kid.triple.pre, guard_implies(head.guard, t.pre, negate=True)):
         return "exit premise pre should be !guard -> pre"
     if not _aeq(exit_kid.triple.post, t.post):
         return "exit premise must share the conclusion post"
-    if not _peq(loop_kid.triple.prog, seq_of(head.body, prog)):
+    if not _peq(loop_kid.triple.prog, seq_of(head.body, prog), bare):
         return "loop premise program must be body; loop; continuation"
     if not _aeq(loop_kid.triple.pre, guard_implies(head.guard, t.pre)):
         return "loop premise pre should be guard -> pre"
@@ -301,12 +303,13 @@ def _check(
     cyclic = system == "cprhl"
     arity = CPRHL_ARITY if cyclic else PRHL_ARITY
     results: dict[str, NodeResult] = {}
+    bare: dict = {}
     for nid in sorted(proof.nodes, key=_id_order):
         n = proof.nodes[nid]
         if n.rule not in arity:
             raise AssertionError(f"unreachable rule {n.rule}")
         kids = [proof.nodes[c] for c in n.children]
-        detail = _rule_mismatch(n, kids, cyclic, strict_fig4_assign)
+        detail = _rule_mismatch(n, kids, cyclic, strict_fig4_assign, bare)
         if detail:
             results[nid] = NodeResult(nid, "rule-mismatch", detail)
         elif n.rule == "Cons":

@@ -79,7 +79,6 @@ from .syntax import (
     prog_vars,
     seq_of,
     subst,
-    units,
 )
 
 
@@ -447,16 +446,11 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
     labels: dict[Prog, int] = {Empty(): 0}
     start = labels.setdefault(prog, 1)
     progs = list(labels)  # the program of each label
-    # labels known to be in normal form: what seq_of built, and every
-    # continuation of one; _onto sequences those onto their tails without
-    # walking the tails again, seq_of the rest (the input may be raw)
-    normal = {Empty()}
     steps: list = [None]
     succs: list = [()]  # the successor labels of each label
     cyclic = False
     while len(steps) < len(progs):
         p, tails = progs[len(steps)], []
-        join = _onto if p in normal else seq_of
         while isinstance(p, Seq) and not isinstance(p.first, Empty):
             tails.append(p.second)
             p = p.first
@@ -474,14 +468,12 @@ def compile_program(prog: Prog, names: Iterable[str]) -> Compiled:
         else:
             raise TypeError(f"not a program: {p!r}")
         if tails:
-            nexts = [join(q, *reversed(tails)) for q in nexts]
+            nexts = [seq_of(q, *reversed(tails)) for q in nexts]
         out = []
         for q in nexts:
             out.append(labels.setdefault(q, len(progs)))
             if out[-1] == len(progs):
                 progs.append(q)
-                if join is _onto or tails:
-                    normal.add(q)
         steps.append(_transition(p, out, slot))
         succs.append(out)
     return Compiled(names, start, steps, succs, cyclic)
@@ -495,13 +487,6 @@ def label_paths(c: Compiled) -> int:
     for lab in graphlib.TopologicalSorter(dict(enumerate(c.succs))).static_order():
         paths[lab] += sum(paths[q] for q in c.succs[lab])
     return paths[c.start]
-
-
-def _onto(q: Prog, t: Prog) -> Prog:
-    """``seq_of(q, t)`` for programs in normal form, walking ``q`` only."""
-    for u in reversed(list(units(q))):
-        t = u if isinstance(t, Empty) else Seq(u, t)
-    return t
 
 
 # --- bounded run exploration ----------------------------------------------------

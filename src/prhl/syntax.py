@@ -87,7 +87,9 @@ class _Node:
         if node is None:
             node = _NODES[key] = object.__new__(cls)
             cls._fill(node, *args)
-            if not issubclass(cls, Prog):  # a program's would be quadratic in its length
+            if issubclass(cls, Prog):  # whose free variables would be quadratic in its length
+                object.__setattr__(node, "normal", _normal(cls, args))
+            else:
                 object.__setattr__(node, "fv", _free(cls, args))
         return node
 
@@ -118,6 +120,14 @@ def _free(cls, args: tuple) -> frozenset[str]:
         if isinstance(v, _Node):
             out = v.fv if out <= v.fv else out if v.fv <= out else out | v.fv
     return out
+
+
+def _normal(cls, args: tuple) -> bool:
+    """Whether a new program node is in normal form, from its children's bits."""
+    if cls is Seq:
+        first, second = args
+        return not isinstance(first, (Seq, Empty)) and not isinstance(second, Empty) and first.normal and second.normal
+    return all(v.normal for v in args if isinstance(v, Prog))
 
 
 def _node(cls):
@@ -185,7 +195,7 @@ class BOr(BoolExpr):
 
 
 class Prog(_Node):
-    __slots__ = ()
+    __slots__ = ("normal",)  # whether it is in normal form, set when it is built
 
 
 @_node
@@ -264,6 +274,18 @@ class Forall(Assertion):
     var: str
     body: Assertion
 
+
+# what each field of each node class holds, for readers that build nodes
+# field by field: a node of the given class (``While``'s invariant may be
+# None), "name" (an identifier that is no keyword), "op" (an operator of
+# ``BinOp``) or "nat" (a natural number)
+_E, _B, _P, _A = Expr, BoolExpr, Prog, Assertion
+SORTS: dict = {
+    Var: ("name",), Const: ("nat",), BinOp: ("op", _E, _E), Eq: (_E, _E), Le: (_E, _E),
+    BNot: (_B,), BAnd: (_B, _B), BOr: (_B, _B),
+    Empty: (), Assign: ("name", _E), Seq: (_P, _P), While: (_B, _P, (_A, type(None))), Choice: (_P, _P),
+    Bool: (_B,), Not: (_A,), And: (_A, _A), Or: (_A, _A), Implies: (_A, _A), Exists: ("name", _A), Forall: ("name", _A),
+}
 
 TRUE_BOOL = Eq(Const(0), Const(0))
 FALSE_BOOL = BNot(TRUE_BOOL)
@@ -351,9 +373,10 @@ def fresh_var(avoid: Iterable[str], hint: str) -> str:
     return f"{base}_p{k}"
 
 
-def _substitution(mapping: dict[str, Expr]):
-    """Simultaneous capture-avoiding substitution of ``mapping`` over
-    expressions, guards and assertions, memoized on the node."""
+def _substitution(mapping: dict[str, Expr], term):
+    """``term`` under the simultaneous capture-avoiding substitution
+    ``mapping``, which any expression, guard or assertion takes, memoized
+    on the node."""
     memo: dict = {}
 
     def go(t):
@@ -370,18 +393,20 @@ def _substitution(mapping: dict[str, Expr]):
             cap = frozenset().union(*(v.fv for v in inner.values()))
             if var in cap:
                 var = fresh_var(cap | body.fv | set(inner), var)
-                body = _substitution({t.var: Var(var)})(body)
-            out = type(t)(var, _substitution(inner)(body))
+                body = _substitution({t.var: Var(var)}, body)
+            out = type(t)(var, _substitution(inner, body))
         else:
             out = t.rebuild(go)
         memo[t] = out
         return out
 
-    return go
+    out = go(term)
+    memo.clear()  # go and its memo form a cycle: free the nodes it holds now
+    return out
 
 
 def subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    return _substitution(mapping)(e)
+    return _substitution(mapping, e)
 
 
 def subst(a: Expr | BoolExpr | Assertion, pairs: Sequence[tuple[str, Expr]]) -> Expr | BoolExpr | Assertion:
@@ -393,7 +418,7 @@ def subst(a: Expr | BoolExpr | Assertion, pairs: Sequence[tuple[str, Expr]]) -> 
     ``subst(exists x. x = y, [(y, x)])`` yields ``exists x_p1. x_p1 = x``.
     """
     mapping = dict(pairs)
-    return _substitution(mapping)(a) if mapping else a
+    return _substitution(mapping, a) if mapping else a
 
 
 def alpha_rename(a: Assertion) -> Assertion:
@@ -401,8 +426,11 @@ def alpha_rename(a: Assertion) -> Assertion:
     left to right, keeping names that do not clash.  Idempotent; applied
     by the assertion parser so structurally equal texts parse equal."""
     avoid = set(free_vars(a))
+    plain: set[Assertion] = set()  # subterms seen to bind nothing, so that a shared one is walked once
 
     def go(a: Assertion) -> Assertion:
+        if isinstance(a, Bool) or a in plain:
+            return a
         if isinstance(a, (Exists, Forall)):
             var, body = a.var, a.body
             if var in avoid:
@@ -411,9 +439,20 @@ def alpha_rename(a: Assertion) -> Assertion:
                 var = new
             avoid.add(var)
             return type(a)(var, go(body))
-        return a if isinstance(a, Bool) else a.rebuild(go)
+        seen, out = len(avoid), a.rebuild(go)
+        if out is a and len(avoid) == seen:
+            plain.add(a)
+        return out
 
-    return go(a)
+    out = go(a)
+    plain.clear()  # go and its memo form a cycle: free the nodes it holds now
+    return out
+
+
+def normal_assertion(a: Assertion) -> Assertion:
+    """``a`` as the assertion parser reads its text: binders renamed
+    apart, then boolean connectives packed."""
+    return canon(alpha_rename(a))
 
 
 def canon(a: Assertion) -> Assertion:
@@ -441,7 +480,9 @@ def canon(a: Assertion) -> Assertion:
         memo[a] = out
         return out
 
-    return go(a)
+    out = go(a)
+    memo.clear()  # go and its memo form a cycle: free the nodes it holds now
+    return out
 
 
 # --- program normal form ------------------------------------------------
@@ -465,10 +506,17 @@ def seq_of(*parts: Prog) -> Prog:
     """The parts in sequence, in normal form: their units nested to the
     right, with loop bodies and choice arms normal.  Idempotent; the
     structural equality of proof checking compares programs in this form.
-    Walks the units right to left, so each is joined as it is found."""
+    Walks the units right to left, so each is joined as it is found, and
+    keeps the last part whole if it is normal already (``skip`` aside), so
+    only the parts before it are walked."""
     out, stack = None, list(parts)
     while stack:
         p = stack.pop()
+        if isinstance(p, Empty):
+            continue
+        if out is None and getattr(p, "normal", False):
+            out = p
+            continue
         while isinstance(p, Seq):
             stack.append(p.first)
             p = p.second
@@ -488,14 +536,17 @@ def seq_of(*parts: Prog) -> Prog:
 normalize_program = seq_of
 
 
-def erase_invariants(p: Prog) -> Prog:
+def erase_invariants(p: Prog, bare: dict | None = None) -> Prog:
     """The program with every loop annotation dropped, to compare programs
     where annotations must not count.  The shape of sequencing is kept;
-    an explicit stack walks it, so any length or grouping of ``;`` is fine."""
-    bare: dict[Prog, Prog] = {}
+    an explicit stack walks it, so any length or grouping of ``;`` is fine.
+    ``bare`` memoizes the bare forms across calls that share it."""
+    bare = {} if bare is None else bare
     stack = [p]
     while stack:
         q = stack.pop()
+        if q in bare:
+            continue
         if isinstance(q, Seq):
             first, second = bare.get(q.first), bare.get(q.second)
             if first is None or second is None:
@@ -503,9 +554,9 @@ def erase_invariants(p: Prog) -> Prog:
             else:  # an unchanged program is its own bare form
                 bare[q] = q if first is q.first and second is q.second else Seq(first, second)
         elif isinstance(q, While):
-            bare[q] = While(q.guard, erase_invariants(q.body))
+            bare[q] = While(q.guard, erase_invariants(q.body, bare))
         else:
-            bare[q] = Choice(erase_invariants(q.left), erase_invariants(q.right)) if isinstance(q, Choice) else q
+            bare[q] = Choice(erase_invariants(q.left, bare), erase_invariants(q.right, bare)) if isinstance(q, Choice) else q
     return bare[p]
 
 
@@ -534,6 +585,12 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+def is_name(s: str) -> bool:
+    """Whether ``s`` reads as one identifier, a name that is no keyword."""
+    m = _TOKEN_RE.fullmatch(s)
+    return m is not None and m.lastgroup == "ident" and s not in _KEYWORDS
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -768,7 +825,7 @@ def parse_program(text: str, avoid: Iterable[str] = ()) -> Prog:
 
 
 def parse_assertion(text: str) -> Assertion:
-    return _parse(text, (), lambda parser: canon(alpha_rename(parser.of(Assertion))))
+    return _parse(text, (), lambda parser: normal_assertion(parser.of(Assertion)))
 
 
 # --- printing ------------------------------------------------------------

@@ -13,6 +13,7 @@ random inputs.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -1433,6 +1434,42 @@ def sweep(seed: int, cases: int, bounds: Bounds, quantifier_budget: int = 4, dep
             why = next((f"{r.node}: {r.detail}" for r in cyc.nodes.values() if not r.ok), cyc.global_status)
             violations.append((i, t, f"transform rejected: {why}"))
     return counts, violations
+
+
+# --- certificates with their triples as text -----------------------------------
+
+
+def serialize_proof_text(proof: PrhlProof | CyclicPreProof) -> str:
+    """The certificate with each triple field as its concrete syntax, the
+    layout certificates had before the term table; ``parse_proof`` reads
+    it too.  Each distinct term is printed once."""
+    printed: dict = {}
+
+    def text(show, t) -> str:
+        if (show, t) not in printed:
+            printed[show, t] = show(t)
+        return printed[show, t]
+
+    doc: dict = {
+        "system": "cprhl" if isinstance(proof, CyclicPreProof) else "prhl",
+        "root": proof.root,
+        "nodes": {
+            nid: {
+                "rule": n.rule,
+                "triple": {
+                    "pre": text(print_assertion, n.triple.pre),
+                    "prog": text(print_program, n.triple.prog),
+                    "post": text(print_assertion, n.triple.post),
+                },
+                "children": list(n.children),
+                **({"fresh": n.fresh} if n.fresh is not None else {}),
+            }
+            for nid, n in proof.nodes.items()
+        },
+    }
+    if isinstance(proof, CyclicPreProof):
+        doc["backlinks"] = dict(sorted(proof.backlinks.items()))
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # --- random cyclic pre-proof graphs ----------------------------------------

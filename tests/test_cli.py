@@ -330,9 +330,11 @@ def _drop_annotation(path, nid):
     """The certificate at ``path`` with the loop annotation of node
     ``nid``'s program removed."""
     doc = json.loads(Path(path).read_text())
-    triple = doc["nodes"][nid]["triple"]
-    assert " invariant true do" in triple["prog"]
-    triple["prog"] = triple["prog"].replace(" invariant true do", " do")
+    terms, triple = doc["terms"], doc["nodes"][nid]["triple"]
+    rule, guard, body, inv = terms[triple["prog"]]
+    assert rule == "While" and inv is not None
+    triple["prog"] = len(terms)
+    terms.append(["While", guard, body, None])
     Path(path).write_text(json.dumps(doc))
 
 
@@ -375,8 +377,11 @@ def test_check_proof_rule_of_wrong_type(tmp_path, capsys):
 
 
 def test_check_proof_triple_field_of_wrong_type(tmp_path, capsys):
-    assert main(["check-proof", write(tmp_path, "c.json", _axiom_certificate(pre=1))]) == 3
-    assert capsys.readouterr().err == "error: malformed triple at node 'n1': a field is not a string\n"
+    for pre in (1, 1.5, True, None):
+        assert main(["check-proof", write(tmp_path, "c.json", _axiom_certificate(pre=pre))]) == 3
+        assert capsys.readouterr().err == (
+            "error: malformed triple at node 'n1': pre is neither text nor the position of an assertion term\n"
+        )
 
 
 @pytest.mark.parametrize(
@@ -560,6 +565,17 @@ def test_prove_choices_in_a_row_is_linear(tmp_path, capsys, monkeypatch):
     assert main(["prove", _choices(tmp_path, k), "--domain-max", "2", "--format", "machine"]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "proved"
     assert len(compiled) <= 3 * k  # 2k + 1: one atom per question
+
+
+def test_prove_writes_20_choices_in_a_row_small(tmp_path, capsys):
+    # the pres of k choices in a row share their terms, a DAG of 2^k
+    # paths; the certificate writes each distinct term once
+    cert = tmp_path / "choices.json"
+    assert main(["prove", _choices(tmp_path, 20), "--domain-max", "2", "-o", str(cert)]) == 0
+    assert cert.stat().st_size < 1 << 20
+    capsys.readouterr()
+    assert main(["check-proof", str(cert), "--domain-max", "2"]) == 0
+    assert capsys.readouterr().out == "ACCEPT (bounded: none)\n"
 
 
 def test_prove_choices_machine_golden(tmp_path, capsys):

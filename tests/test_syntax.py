@@ -1,6 +1,7 @@
 """Parser, printers, substitution, and normal forms."""
 
 import functools
+import gc
 import random
 import weakref
 from dataclasses import fields
@@ -45,7 +46,9 @@ from prhl.syntax import (
     Exists,
     Implies,
     Le,
+    Not,
     ParseError,
+    Prog,
     Seq,
     Var,
     While,
@@ -547,3 +550,33 @@ def test_interned_terms_rebuild_parse_and_substitute(seed):
     pairs = [(rng.choice(NAMES), gen_expr(rng, NAMES, 2)), (rng.choice(NAMES), Var(rng.choice(NAMES)))]
     assert subst(a, pairs) is subst_ref(a, pairs)
     assert subst(canonical, pairs[:1]) is subst_ref(canonical, pairs[:1])
+
+
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_normal_bit_matches_the_reference(seed):
+    # a program node knows whether it is in normal form, and seq_of
+    # returns such a program, or one beside skip, as it is
+    rng = random.Random(seed)
+    p = gen_prog(rng, NAMES, 4)
+    for q in (t for raw in (p, denormalize(rng, p)) for t in subterms(raw) if isinstance(t, Prog)):
+        assert q.normal is (normalize_ref(q) is q)
+        if q.normal:
+            assert seq_of(q) is q and seq_of(Empty(), q, Empty()) is q
+
+
+def test_walkers_free_terms_when_they_return():
+    # canon, substitution and alpha_rename memoize in dicts, and their
+    # walkers call themselves, which makes a cycle per call; no such cycle
+    # holds a memo once the call returns, so reference counting alone
+    # frees a term that was read and then dropped
+    gc.collect()
+    gc.disable()
+    try:
+        a = parse_assertion("forall k. (exists k. k = 9137 + x) && !(x = 9137) || exists j. j = x + 9138")
+        b = subst(a, [("x", Const(9139))])
+        refs = [weakref.ref(a), weakref.ref(b), weakref.ref(canon(Not(b)))]
+        del a, b
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()

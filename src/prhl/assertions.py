@@ -55,15 +55,17 @@ def eval_assertion(a: Assertion, s: State, quant_bound: int) -> tuple[bool, bool
 
 
 def entails(
-    hyp: Assertion, concl: Assertion, bounds: Bounds, extra_vars: Iterable[str] = ()
+    hyp: Assertion, concl: Assertion, bounds: Bounds, extra_vars: Iterable[str] = (), rewrite=None
 ) -> Verdict:
     """Does every store satisfying ``hyp`` satisfy ``concl``?  Decided on
     truth tables over the box of the union of free variables, 0..domain_max
     each: the conclusion's first, the hypothesis's only where that is not
     certain.  A box of more than ``CHUNK`` stores is taken in chunks, one
-    per assignment of its leading names."""
+    per assignment of its leading names.  ``rewrite`` is the
+    ``exact_ranges()`` rewriter to use; calls that share one rewrite a
+    subterm they share once."""
     names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
-    rewrite = exact_ranges()
+    rewrite = exact_ranges() if rewrite is None else rewrite
     hyp, concl = rewrite(hyp), rewrite(concl)
     r, tail = bounds.domain_max + 1, len(names)
     while tail and r**tail > CHUNK:
@@ -210,6 +212,7 @@ class BoundedOracle:
 
     def __init__(self, bounds: Bounds | None = None):
         self.bounds = bounds if bounds is not None else Bounds()
+        self.rewrite = exact_ranges()  # one memo for every question, which share subterms
 
     def entails(self, hyp: Assertion, concl: Assertion) -> Verdict:
-        return entails(hyp, concl, self.bounds)
+        return entails(hyp, concl, self.bounds, rewrite=self.rewrite)

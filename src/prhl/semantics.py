@@ -279,17 +279,19 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
     Guards are left for ``_range_tops``; ``canon`` packs what changed.
     A whole assertion is rewritten once: its form is kept on the node
     (``ranged``), so a later call returns it without a walk."""
+    # go is passed the memo, not closed over it: a walker that calls
+    # itself makes a cycle, which would keep the memo's nodes alive
     memo: dict = {}
 
-    def go(a):
+    def go(a, memo):
         out = memo.get(a)
         if out is None:
             if isinstance(a, Bool):
                 out = a
             elif isinstance(a, (Exists, Forall)):
-                out = quant(type(a), a.var, go(a.body))
+                out = quant(type(a), a.var, go(a.body, memo))
             else:
-                out = a.rebuild(go)
+                out = a.rebuild(functools.partial(go, memo=memo))
             memo[a] = out
         return out
 
@@ -327,7 +329,7 @@ def exact_ranges() -> Callable[[Assertion], Assertion]:
 
     def top(a):
         if not hasattr(a, "ranged"):
-            out = a if (out := go(a)) is a else canon(out)
+            out = a if (out := go(a, memo)) is a else canon(out)
             object.__setattr__(a, "ranged", None if out is a else out)
         return a.ranged or a
 

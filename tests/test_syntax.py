@@ -31,6 +31,7 @@ from oracles import (
 )
 from prhl import certificates, cli
 from prhl.assertions import eval_assertion
+from prhl.semantics import exact_ranges
 from prhl.syntax import (
     Assertion,
     Assign,
@@ -566,15 +567,16 @@ def test_normal_bit_matches_the_reference(seed):
 
 
 def test_walkers_free_terms_when_they_return():
-    # canon, substitution and alpha_rename memoize in dicts, and their
-    # walkers call themselves, which makes a cycle per call; no such cycle
-    # holds a memo once the call returns, so reference counting alone
-    # frees a term that was read and then dropped
+    # canon, substitution, alpha_rename and exact_ranges memoize in dicts,
+    # and their walkers call themselves, which makes a cycle per call; no
+    # such cycle holds a memo, so reference counting alone frees a term
+    # that was read, rewritten and then dropped
     gc.collect()
     gc.disable()
     try:
         a = parse_assertion("forall k. (exists k. k = 9137 + x) && !(x = 9137) || exists j. j = x + 9138")
         b = subst(a, [("x", Const(9139))])
+        assert exact_ranges()(b) is not b
         refs = [weakref.ref(a), weakref.ref(b), weakref.ref(canon(Not(b)))]
         del a, b
         assert [r() for r in refs] == [None, None, None]

@@ -13,8 +13,9 @@ anywhere in the deciding part of the formula.  ``eval_assertion``, the
 one-store entry taking a ``State``, compiles its assertion by
 ``semantics.compile_assertions`` and runs it on a value tuple.
 
-Entailment is decided on truth tables over the box of stores (see
-``_Tables``): an atom runs once per assignment of its own free
+Entailment is decided, and ``semantics.check_triple`` reads its pre and
+its incorrectness post, on truth tables over a box of stores
+(``_Tables``): an atom runs once per assignment of its own free
 variables, a quantifier is folded from its body over the box extended by
 its variable, the connectives are bitwise, and a shared node is computed
 once.  The hypothesis is computed only where the conclusion is not
@@ -34,7 +35,7 @@ The proof checker and the prover ask their side conditions through a
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .semantics import CHUNK, Bounds, State, Verdict, _compile_assertion, _range_tops, compile_assertions, exact_ranges
 from .syntax import And, Assertion, BAnd, BNot, Bool, BOr, Const, Exists, Forall, Implies, Le, Not, Or, Var, free_vars
@@ -59,35 +60,22 @@ def entails(
 ) -> Verdict:
     """Does every store satisfying ``hyp`` satisfy ``concl``?  Decided on
     truth tables over the box of the union of free variables, 0..domain_max
-    each: the conclusion's first, the hypothesis's only where that is not
-    certain.  A box of more than ``CHUNK`` stores is taken in chunks, one
-    per assignment of its leading names.  ``rewrite`` is the
-    ``exact_ranges()`` rewriter to use; calls that share one rewrite a
-    subterm they share once."""
+    each, slab by slab: the conclusion's first, the hypothesis's only where
+    that is not certain.  ``rewrite`` is the ``exact_ranges()`` rewriter to
+    use; calls that share one rewrite a subterm they share once."""
     names = sorted(free_vars(hyp) | free_vars(concl) | set(extra_vars))
     rewrite = exact_ranges() if rewrite is None else rewrite
     hyp, concl = rewrite(hyp), rewrite(concl)
-    r, tail = bounds.domain_max + 1, len(names)
-    while tail and r**tail > CHUNK:
-        tail -= 1
-    lead, weights = names[: len(names) - tail], [r ** (tail - 1 - j) for j in range(tail)]
-    full = (1 << r**tail) - 1
-    # the stores whose j-th ranging name is v: a run of w ones every w * r bits
-    cyl = {n: [(v, ((1 << w) - 1 << v * w) * (full // ((1 << w * r) - 1))) for v in range(r)]
-           for n, w in zip(names[len(lead) :], weights)}
-    box = _Tables(bounds.quant_bound)
-    flagged_cex = valid_flags = False
-    for fixed in itertools.product(range(r), repeat=len(lead)):
-        box.start({**cyl, **{n: [(v, full)] for n, v in zip(lead, fixed)}}, full)
+    box, flagged_cex, valid_flags = _Tables(bounds.quant_bound), False, False
+    for full, slab in box.slabs(names, [range(bounds.domain_max + 1)] * len(names)):
         cv, cf = box.table(concl, full)
         care = full & ~(cv & ~cf)  # not certainly inside the conclusion
         hv, hf = box.table(hyp, care)
         live = care & (hv | hf)  # not certainly outside the hypothesis
         cex = live & hv & ~cv
         clean = cex & ~hf & ~cf
-        if clean:
-            low = (clean & -clean).bit_length() - 1  # the first in store order
-            return Verdict("invalid", witness=State(zip(names, fixed + tuple(low // w % r for w in weights))))
+        if clean:  # the first in store order
+            return Verdict("invalid", witness=State(zip(names, next(_select(itertools.product(*slab), clean & -clean)))))
         flagged_cex = flagged_cex or cex != 0
         # no counterexample at face value, but bounds decided it
         valid_flags = valid_flags or live & ~cex != 0
@@ -96,6 +84,11 @@ def entails(
     if valid_flags:
         return Verdict("valid", flags=("quantifier-bounded",))
     return Verdict("valid")
+
+
+def _select(items: Iterable, mask: int) -> Iterator:
+    """The items at the set bits of ``mask``, from the lowest."""
+    return itertools.compress(items, bin(mask)[:1:-1].replace("0", "\0").encode())
 
 
 class _Tables:
@@ -111,6 +104,24 @@ class _Tables:
 
     def start(self, cyl: dict, full: int) -> None:
         self.cyl, self.full, self.memo = cyl, full, {}
+
+    def slabs(self, names: Sequence[str], axes: Sequence[Sequence[int]]) -> Iterator[tuple[int, list]]:
+        """The box over ``names``, the ``j``-th ranging over ``axes[j]``, in
+        slabs of at most ``CHUNK`` stores, one per assignment of its leading
+        names: each is started in turn, and its full mask and its axes,
+        whose product lists its stores in bit order, are yielded."""
+        k, size = len(axes), 1
+        while k and size * len(axes[k - 1]) <= CHUNK:
+            k -= 1
+            size *= len(axes[k])
+        full, w, cyl = (1 << size) - 1, size, {}
+        for n, ax in zip(names[k:], axes[k:]):
+            # the stores whose value of n is its i-th: a run of w ones every w * len(ax) bits
+            w //= len(ax)
+            cyl[n] = [(v, ((1 << w) - 1 << i * w) * (full // ((1 << w * len(ax)) - 1))) for i, v in enumerate(ax)]
+        for fixed in itertools.product(*axes[:k]):
+            self.start({**cyl, **{n: [(v, full)] for n, v in zip(names, fixed)}}, full)
+            yield full, [(v,) for v in fixed] + list(axes[k:])
 
     def cells(self, node, care: int) -> tuple:
         """An atom's closure, compiled at first use, and its cells that meet

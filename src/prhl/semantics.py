@@ -25,14 +25,15 @@ Validity questions are decided by enumerating initial stores over the
 variables that occur in the triple, each component in 0..domain_max
 where it is live (``syntax.live_vars``: the pre reads it, or a run may
 read it or leave it for the post before writing it) and 0 elsewhere;
-intermediate values may grow past domain_max.  A name that is not live
-never steers a run nor reaches the pre or the post, so the stores left
-out answer as their twin at 0, which comes first in box order (save
-where a cap cuts the two apart; see ``check_triple``).  Verdicts
-are therefore relative to the bounds, and a verdict degrades to Unknown,
-naming the cap, whenever the step bound, the work cap or the value width
-cut exploration, or a quantifier bound, could hide or fake a
-counterexample.
+intermediate values may grow past domain_max.  The pre over that box,
+and the post over the whole box, are read from truth tables
+(``assertions._Tables``); only finals run a compiled closure.  A name
+that is not live never steers a run nor reaches the pre or the post, so
+the stores left out answer as their twin at 0, which comes first in box
+order (save where a cap cuts the two apart; see ``check_triple``).
+Verdicts are therefore relative to the bounds, and degrade to Unknown,
+naming the cap, whenever a cut by the step bound, the work cap or the
+value width, or a quantifier bound, could hide or fake a counterexample.
 """
 
 from __future__ import annotations
@@ -547,7 +548,7 @@ def work_cap(step_bound: int) -> int:
 CHUNK = 1 << 12
 
 
-def explore_starts(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict, dict | None]:
+def explore_starts(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict, list | None]:
     """The runs of ``c`` from each of ``starts`` (distinct store tuples) in
     one level-synchronous pass: each configuration carries the mask of the
     starts that first reach it at its level, bit ``j`` for ``starts[j]``,
@@ -571,54 +572,59 @@ def explore_starts(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tup
     return finals, {k: m | rest[k] << half for k, m in cuts.items()}, None
 
 
-def _pass(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict, dict | None] | None:
+def _pass(c: Compiled, starts: Sequence[tuple], step_bound: int) -> tuple[dict, dict, list | None] | None:
     """``explore_starts`` in one pass; None when several starts reach the cap."""
-    seen = {(c.start, s0): 1 << j for j, s0 in enumerate(starts)}
+    ids = {(c.start, s0): j for j, s0 in enumerate(starts)}  # each configuration's number, given at first sight
     if not c.start:
-        return {s0: [(0, m)] for (_, s0), m in seen.items()}, {STEP_DEPTH: 0, WORK_CAP: 0, VALUE_WIDTH: 0}, None
-    cap, steps = work_cap(step_bound), c.steps
+        return {s0: [(0, 1 << j)] for (_, s0), j in ids.items()}, {STEP_DEPTH: 0, WORK_CAP: 0, VALUE_WIDTH: 0}, None
+    cap, steps, configs = work_cap(step_bound), c.steps, list(ids)
     # a value past VALUE_BIT_CAP can come only from a start: assignments check what they store
     wide = max(itertools.chain.from_iterable(starts), default=0).bit_length() > VALUE_BIT_CAP
-    frontier = seen.copy()
+    seen = [1 << j for j in range(len(starts))]  # by number: the mask of the starts that reached it
+    frontier, n = dict(enumerate(seen)), len(seen)
     finals: dict[tuple, list] = {}
     overflow = depth = 0
     back = False  # a repeat reached a non-final configuration of an earlier level
-    ends: dict[tuple, int] = {}  # the final stores of this level, with their masks
+    ends: dict[int, int] = {}  # the final configurations of this level, with their masks
     while frontier and depth < step_bound:
         depth += 1
         nxt = {}
-        for (lab, st), m in frontier.items():
+        for i, m in frontier.items():
+            lab, st = configs[i]
             for succ in steps[lab](st):
-                old = seen.get(succ)
-                if old is None:  # new: its mask is m as it stands
+                k = ids.setdefault(succ, n)
+                if k == n:  # new: its mask is m as it stands
                     if succ[0] is None or wide and max(succ[1]).bit_length() > VALUE_BIT_CAP:
+                        del ids[succ]
                         overflow |= m
                         continue
-                    if len(seen) >= cap:
+                    if k >= cap:
                         if len(starts) > 1:
                             return None
-                        finals.update((f, [(depth, 1)]) for f in ends)
+                        finals.update((configs[e][1], [(depth, 1)]) for e in ends)
                         return finals, {STEP_DEPTH: 0, WORK_CAP: 1, VALUE_WIDTH: 0}, None
-                    seen[succ] = m
+                    seen.append(m)
+                    configs.append(succ)
+                    n += 1
                     if succ[0]:
-                        nxt[succ] = m
+                        nxt[k] = m
                     else:
-                        ends[succ[1]] = m
-                elif new := m & ~old:
-                    seen[succ] = old | m
+                        ends[k] = m
+                elif new := m & ~seen[k]:
+                    seen[k] |= m
                     if succ[0]:
-                        nxt[succ] = nxt.get(succ, 0) | new
+                        nxt[k] = nxt.get(k, 0) | new
                     else:
-                        ends[succ[1]] = ends.get(succ[1], 0) | new
-                elif not back and succ[0] and succ not in nxt:
+                        ends[k] = ends.get(k, 0) | new
+                elif not back and succ[0] and k not in nxt:
                     back = True
         if ends:  # most levels of a long run end none
-            for f, m in ends.items():
-                finals.setdefault(f, []).append((depth, m))
+            for k, m in ends.items():
+                finals.setdefault(configs[k][1], []).append((depth, m))
             ends = {}
         frontier, wide = nxt, False
     cut = functools.reduce(operator.or_, frontier.values(), 0)
-    return finals, {STEP_DEPTH: cut, WORK_CAP: 0, VALUE_WIDTH: overflow & ~cut}, seen if back else None
+    return finals, {STEP_DEPTH: cut, WORK_CAP: 0, VALUE_WIDTH: overflow & ~cut}, configs if back else None
 
 
 def _lowest(mask: int) -> int:
@@ -710,10 +716,12 @@ def check_triple(
     """
     if logic not in LOGICS:
         raise ValueError(f"unknown logic {logic!r}")
+    from .assertions import _select, _Tables  # which imports this module
+
     names = relevant_vars(pre, prog, post)
     compiled = compile_program(prog, names)
-    pre_of, post_of = compile_assertions(names, bounds.quant_bound, pre, post)
-    eval_post = functools.cache(post_of)
+    (eval_post,) = compile_assertions(names, bounds.quant_bound, post)  # finals can lie outside the box
+    rewrite, box = exact_ranges(), _Tables(bounds.quant_bound)
 
     # s0 ranges over the box whose names outside the live set are 0.  A
     # name is live when the pre reads it or some run may read it (in a
@@ -731,29 +739,37 @@ def check_triple(
     out = names if logic == "incorrectness" else free_vars(post)
     live = free_vars(pre) | live_vars(prog, out)
     axes = [range(bounds.domain_max + 1) if n in live else (0,) for n in names]
+    side = logic != "partial-reverse"  # the pre value of a store that can witness
+    size = CHUNK if compiled.cyclic else max(1, min(CHUNK, work_cap(bounds.step_bound) // label_paths(compiled)))
+
     # starts: the stores that can witness, in box order: outside the pre
     # under partial-reverse, inside it under the other logics, flagged
     # under any; no other store is explored, so a query's cost follows the
-    # share of the box on the witness side of its pre.  They are explored
-    # together, chunk by chunk (``explore_starts``), and every verdict is
-    # read off the masks of the starts: bit j of ``flagged`` is set when
-    # starts[j]'s pre value is bound-relative, and the lowest bit of a mask
-    # is its first start in box order.  The pass gives each start the
-    # finals and the cut of its own run, so no answer changes.  A chunk's
-    # configurations are held at once: at most the work cap of them, as
-    # on an acyclic label graph a chunk holds so few starts that their
-    # runs, at most ``label_paths`` configurations each, stay below it,
-    # and elsewhere a chunk that reaches it is explored again in halves.
-    side = logic != "partial-reverse"  # the pre value of a store that can witness
-    starts: list[tuple] = []
-    flagged = 0
-    for s0 in itertools.product(*axes):
-        pv, pfl = pre_of(s0)
-        if pfl or pv == side:
-            if pfl:
-                flagged |= 1 << len(starts)
-            starts.append(s0)
-    size = CHUNK if compiled.cyclic else max(1, min(CHUNK, work_cap(bounds.step_bound) // label_paths(compiled)))
+    # share of the box on the witness side of its pre.  They come from the
+    # pre's tables, slab by slab, and are explored together, chunk by chunk
+    # (``explore_starts``).  Verdicts are read off the masks of a chunk's
+    # starts: bit j of ``flagged`` is set when the j-th's pre value is
+    # bound-relative, a mask's lowest bit is its first start in box order,
+    # and each start gets the finals and the cut of its own run.  A chunk's
+    # configurations are held at once: at most the work cap of them, as on
+    # an acyclic label graph a chunk holds so few starts that their runs,
+    # at most ``label_paths`` configurations each, stay below it, and
+    # elsewhere a chunk that reaches it is explored again in halves.
+    def chunks() -> Iterator[tuple[int, list, int]]:
+        """Each chunk: the index of its first start, its starts, ``flagged``."""
+        chunk, flagged, base = [], 0, 0
+        for full, slab in box.slabs(names, axes):
+            pv, pf = box.table(rewrite(pre), full)
+            can = (pv if side else full & ~pv) | pf
+            if pf:  # the flags of the slab's starts, from the lowest bit
+                flagged |= int("".join(_select(bin(pf)[:1:-1].ljust(full.bit_length(), "0"), can))[::-1], 2) << len(chunk)
+            chunk += _select(itertools.product(*slab), can)
+            whole = len(chunk) - len(chunk) % size
+            for j in range(0, whole, size):
+                yield base + j, chunk[j : j + size], flagged >> j
+            base, chunk, flagged = base + whole, chunk[whole:], flagged >> whole
+        if chunk:
+            yield base, chunk, flagged
 
     # the least counterexample so far: (depth or start, start, the final's
     # nonzero entries by name as State.sort_key breaks ties, stores of the witness)
@@ -763,10 +779,9 @@ def check_triple(
     hoare = logic == "partial-hoare"
     reach_cert: set[tuple] = set()  # finals of starts with a certain pre
     reach_poss: set[tuple] = set()
-    for base in range(0, len(starts), size):
-        chunk = starts[base : base + size]
+    for base, chunk, flagged in chunks():
         finals, cuts = explore_starts(compiled, chunk, bounds.step_bound)[:2]  # not a pass's configurations
-        sure = ~(flagged >> base)  # the starts of the chunk whose pre value is certain
+        sure = ~flagged  # the starts of the chunk whose pre value is certain
         cut = cuts[STEP_DEPTH] | cuts[WORK_CAP] | cuts[VALUE_WIDTH]
         if logic in ("partial-reverse", "partial-hoare"):
             # counterexample: a run s0 ->* f with s0 outside the pre and f
@@ -809,17 +824,16 @@ def check_triple(
             budget_risk = next(cause for cause, m in cuts.items() if m >> _lowest(cut) & 1)
 
     if logic == "incorrectness":
-        poss_cut, budget_risk = budget_risk, None
-        for idx, f in enumerate(store_tuples(names, bounds.domain_max)):
-            fv, ffl = eval_post(f)
-            if not fv and not ffl or f in reach_cert:
-                continue
-            if poss_cut:
-                budget_risk = poss_cut
-            elif fv and not ffl and f not in reach_poss:
-                best = min(best, (idx, 0, [], (f,)))
-            else:
-                quant_risk = True
+        # a post store of the whole box that no start reaches, from the
+        # post's tables: only its true or flagged stores are visited
+        poss_cut, unmet = budget_risk, False
+        for full, slab in box.slabs(names, [range(bounds.domain_max + 1)] * len(names)):
+            pv, pf = box.table(rewrite(post), full)
+            unmet = unmet or any(f not in reach_cert for f in _select(itertools.product(*slab), pv | pf))
+            if not poss_cut and (miss := [f for f in _select(itertools.product(*slab), pv & ~pf) if f not in reach_poss]):
+                best = (0, 0, [], miss[:1])
+                break
+        budget_risk, quant_risk = poss_cut if unmet else None, unmet
 
     if len(best) > 1:
         witness = tuple(State(zip(names, st)) for st in best[-1])

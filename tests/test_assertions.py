@@ -1,6 +1,7 @@
 """Bounded assertion evaluation and entailment."""
 
 import gc
+import itertools
 import random
 import weakref
 from unittest import mock
@@ -327,6 +328,31 @@ def test_quantifier_tables_match_the_store_loop(seed):
             mock.patch.object(assertions._Tables, "cells", atoms_only):
         got = entails(hyp, concl, b)
     assert got == entails_loop_ref(hyp, concl, b)
+
+
+@given(SEEDS)
+@settings(max_examples=300, deadline=None)
+def test_box_tables_match_the_compiled_closure(seed):
+    # a box whose names range over 0..domain_max or sit at one value, cut
+    # into slabs of a few stores: each store's (value, flag) in the tables
+    # is what the compiled closure gives on it, the slabs list the box in
+    # order, and the stores selected by a mask are the ones it holds
+    rng = random.Random(seed)
+    a = gen_assertion(rng, QNAMES, 3, quant=True, guards=True)
+    names = sorted(free_vars(a) | set(rng.sample(QNAMES + ["z"], rng.randrange(4))))
+    domain_max, qb = rng.randrange(4), rng.randrange(5)
+    axes = [range(domain_max + 1) if rng.random() < 0.6 else (rng.randrange(4),) for _ in names]
+    (closure,) = semantics.compile_assertions(names, qb, a)
+    box, ranged, stores = assertions._Tables(qb), semantics.exact_ranges()(a), []
+    with mock.patch.object(assertions, "CHUNK", rng.choice((assertions.CHUNK, 1, 2, 3, 5, 9))):
+        for full, slab in box.slabs(names, axes):
+            v, f = box.table(ranged, full)
+            here = list(itertools.product(*slab))
+            assert len(here) == full.bit_length()
+            assert [(v >> j & 1 == 1, f >> j & 1 == 1) for j in range(len(here))] == [closure(st) for st in here]
+            assert list(assertions._select(here, v | f)) == [st for st in here if any(closure(st))]
+            stores += here
+    assert stores == list(itertools.product(*axes))
 
 
 def test_entails_rewrites_each_term_once(monkeypatch):

@@ -1,6 +1,7 @@
 """Stores, small-step execution, transformers, and triple checking."""
 
 import functools
+import itertools
 import random
 import time
 from unittest import mock
@@ -30,7 +31,7 @@ from oracles import (
     step_ref,
     transformer_set,
 )
-from prhl import semantics
+from prhl import assertions, semantics
 from prhl.semantics import (
     LOGICS,
     STEP_DEPTH,
@@ -870,6 +871,51 @@ def test_check_triple_matches_one_explore_per_start(seed):
     with mock.patch.object(semantics, "CHUNK", chunk), mock.patch.object(semantics, "work_cap", cap):
         for logic in LOGICS:
             assert check_triple(logic, pre, p, post, b) == check_triple_rows_ref(logic, pre, p, post, b)
+
+
+@given(SEEDS)
+@settings(max_examples=200, deadline=None)
+def test_check_triple_in_slabs_matches_one_explore_per_start(seed):
+    # the box's tables taken in slabs of a few stores, which chunks of
+    # starts cross: equal Verdicts in all four logics against one explore
+    # per start store, with flagged pres and posts
+    rng = random.Random(seed)
+    p = _gen_with_dead_names(rng) if rng.random() < 0.5 else gen_prog(rng, NAMES, 2)
+    pre, post = (gen_assertion(rng, NAMES + ["q"], 2, quant=True, guards=True) for _ in range(2))
+    b = Bounds(rng.randrange(1, 4), rng.choice([2, 5, 500]), rng.randrange(4))
+    with mock.patch.object(assertions, "CHUNK", rng.choice((1, 2, 3, 5, 9))), \
+            mock.patch.object(semantics, "CHUNK", rng.choice((semantics.CHUNK, *range(1, 10)))):
+        for logic in LOGICS:
+            assert check_triple(logic, pre, p, post, b) == check_triple_rows_ref(logic, pre, p, post, b)
+
+
+def test_flags_follow_their_starts_across_chunks_and_slabs(monkeypatch):
+    # x = 0 holds, x = 1 fails and x = 2, 3 hold only up to the quantifier
+    # bound; the runs from x = 2 and 3 leave the post, so partial-hoare is
+    # Unknown whichever chunks and slabs the starts fall into
+    pre, p, post = parse_assertion("x = 0 || forall q. q <= x"), parse_program("x := x + 1"), parse_assertion("x <= 1")
+    b = Bounds(domain_max=3, quant_bound=2)
+    for chunk, slab in itertools.product(range(1, 5), (1, 2, 3, 4096)):
+        monkeypatch.setattr(semantics, "CHUNK", chunk)
+        monkeypatch.setattr(assertions, "CHUNK", slab)
+        got = [check_triple(logic, pre, p, post, b) for logic in LOGICS]
+        assert got[LOGICS.index("partial-hoare")] == Verdict("unknown", reason="quantifier-bounded")
+        assert got == [check_triple_rows_ref(logic, pre, p, post, b) for logic in LOGICS]
+
+
+def test_check_triple_compiles_only_the_post(monkeypatch):
+    # the pre's values and flags come from its tables over the box, and
+    # the incorrectness sweep's from the post's: only the post, which
+    # judges finals outside the box, is compiled to a closure
+    pre, p, post = parse_assertion("x < 3 || forall q. q <= x"), parse_program("x := x + 1"), parse_assertion("x <= 2")
+    real, asked = semantics.compile_assertions, []
+    monkeypatch.setattr(semantics, "compile_assertions", lambda names, qb, *a: asked.append(a) or real(names, qb, *a))
+    b = Bounds(3, 100, 2)
+    for logic in LOGICS:
+        asked.clear()
+        got = check_triple(logic, pre, p, post, b)
+        assert asked == [(post,)]
+        assert got == check_triple_rows_ref(logic, pre, p, post, b)
 
 
 CHOICES = "(a := a + 5 * b + b := b + 5 * c); c := c + d; (d := d + 5 * e + e := e + a)"
